@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .errors import CapacityError, DomainError
 
@@ -127,7 +127,7 @@ def _mobius(k: int) -> int:
 
 
 def _partitions(n: int):
-    """Partitions of n as descending lists."""
+    """Partitions of n as lists of (part, multiplicity), parts descending."""
     if n == 0:
         yield []
         return
@@ -138,16 +138,17 @@ def _partitions(n: int):
             yield prefix
             continue
         for p in range(min(left, maxpart), 0, -1):
-            stack.append((left - p, p, prefix + [p]))
+            for m in range(left // p, 0, -1):
+                stack.append((left - m * p, p - 1, prefix + [(p, m)]))
 
 
 def count_graphs_polya(n: int) -> int:
     """Number of unlabeled simple graphs of order n, by cycle-index counting.
 
-    Sums 2^(pair cycles) over permutation cycle types: a type with parts
-    lambda_i fixes 2^e edge subsets where e = sum floor(lambda_i / 2) +
-    sum_{i<j} gcd(lambda_i, lambda_j), and n!/z(lambda) permutations share
-    the type.
+    Sums 2^(pair cycles) over permutation cycle types.  A type with m_p
+    cycles of each distinct length p fixes 2^e edge subsets, where
+    e = sum_p m_p floor(p/2) + sum_p p C(m_p, 2) + sum_{p<q} m_p m_q gcd(p, q),
+    and n!/z permutations share the type, z = prod_p p^m_p m_p!.
     """
     if n < 0:
         raise DomainError("order must be nonnegative")
@@ -156,15 +157,11 @@ def count_graphs_polya(n: int) -> int:
     nf = factorial(n)
     total = 0
     for part in _partitions(n):
-        e = sum(p // 2 for p in part)
-        for i in range(len(part)):
-            for j in range(i + 1, len(part)):
-                e += gcd(part[i], part[j])
+        e = 0
         z = 1
-        mult = {}
-        for p in part:
-            mult[p] = mult.get(p, 0) + 1
-        for p, m in mult.items():
+        for i, (p, m) in enumerate(part):
+            e += m * (p // 2) + p * comb(m, 2)
+            e += m * sum(mq * gcd(p, q) for q, mq in part[:i])
             z *= p ** m * factorial(m)
         total += (1 << e) * (nf // z)
     q, r = divmod(total, nf)
@@ -188,6 +185,41 @@ def _require_window(seq, lo: int, hi: int) -> None:
     if seq.offset > lo or seq.max_degree < hi:
         raise DomainError(
             f"sequence window {seq.offset}..{seq.max_degree} does not cover {lo}..{hi}")
+
+
+def prime_counts_by_factorization(connected: CountSequence,
+                                  max_degree: int) -> CountSequence:
+    """Prime counts 1..max_degree of a family with unique factorization.
+
+    When every connected member factors uniquely into primes, the connected
+    members of degree n are the multisets of primes whose degrees multiply
+    to n, so sum_n S_plus(n) n^-s = prod_{k>=2} (1 - k^-s)^-p(k).  Expanding
+    the factors k < n of that product counts the composites of degree n;
+    the rest of S_plus(n) are primes.  Degree 1 is the unit, not a prime.
+
+    Raises DomainError when no nonnegative prime sequence exists.
+    """
+    _require_window(connected, 1, max_degree)
+    # products[j]: prime multisets of product degree j, primes of degree < k
+    products = [0] * (max_degree + 1)
+    products[1] = 1
+    p = [0] * (max_degree + 1)
+    for k in range(2, max_degree + 1):
+        p[k] = connected.at(k) - products[k]
+        if p[k] < 0:
+            raise DomainError(
+                f"connected counts admit no unique factorization: degree {k} "
+                f"has {products[k]} composites but {connected.at(k)} members")
+        # multiply in (1 - k^-s)^-p(k), which has coefficient C(p+m-1, m)
+        # at k^m; descending j reads each products[j / k^m] before updating it
+        for j in range(max_degree - max_degree % k, k - 1, -k):
+            q, m = j // k, 1
+            while True:
+                products[j] += comb(p[k] + m - 1, m) * products[q]
+                if q % k:
+                    break
+                q, m = q // k, m + 1
+    return CountSequence.primes(p[1:])
 
 
 def _weighted_divisor_sums(primes: CountSequence, n: int) -> list[int]:

@@ -82,7 +82,9 @@ def coprime_count(g: Graph, inst: SemiringInstance | None = None,
     Counted without enumerating the population: primes of the degree are
     all coprime to g unless g is that prime, and the few composites are
     checked factor set against factor set.  For the all-graphs family this
-    works beyond the enumeration cap, up to the composite-table horizon.
+    works beyond the enumeration cap, for every order n up to the instance
+    horizon whose composite table can be built: each proper divisor of n
+    at most the cap.
     """
     if inst is None:
         inst = instance_all_graphs()

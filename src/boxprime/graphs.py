@@ -53,7 +53,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise DomainError("vertex count must be nonnegative")
-        if not 0 <= self.bits < 1 << _pair_count(self.n):
+        if self.bits < 0 or self.bits.bit_length() > _pair_count(self.n):
             raise DomainError(f"edge bits out of range for order {self.n}")
 
     @cached_property

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .counting import (CountSequence, _as_integer, count_graphs_polya,
-                       euler_transform, graph_connected_totals, graph_totals)
+                       euler_transform, graph_connected_totals, graph_totals,
+                       prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
-from .factor import composite_set, factorize, is_cartesian_prime
+from .factor import factorize, is_cartesian_prime
 from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form, canonical_key,
                      cartesian_product, complement, connected_components,
                      disjoint_union, empty_graph, enumerate_graphs,
@@ -81,12 +82,11 @@ class SemiringInstance:
     members, zero primes.
     """
 
-    def __init__(self, name: str, add_horizon: int, box_horizon: int,
-                 enum_horizon: int, totals_fn, connected_fn, box_fn,
-                 member_fn, prime_fn) -> None:
+    def __init__(self, name: str, add_horizon: int, enum_horizon: int,
+                 totals_fn, connected_fn, box_fn, member_fn,
+                 prime_fn) -> None:
         self.name = name
         self.add_horizon = add_horizon
-        self.box_horizon = box_horizon
         self.enum_horizon = enum_horizon
         self._totals_fn = totals_fn
         self._connected_fn = connected_fn
@@ -98,39 +98,39 @@ class SemiringInstance:
         self.p = self._least_prime_degree()
 
     def _least_prime_degree(self) -> int:
-        for n in range(2, self.box_horizon + 1):
+        for n in range(2, self.add_horizon + 1):
             if self._box_fn(n) > 0:
                 return n
         raise DomainError(f"{self.name}: no prime degree within horizon")
 
-    def _degree(self, x, horizon: int):
+    def _degree(self, x):
         k = _as_integer(x)
         if k is None:
             return None
         if k < 0:
             raise DomainError("degree must be nonnegative")
-        if k > horizon:
+        if k > self.add_horizon:
             raise CapacityError(
-                f"{self.name}: degree {k} beyond horizon {horizon}")
+                f"{self.name}: degree {k} beyond horizon {self.add_horizon}")
         return k
 
     def S(self, x) -> int:
         """Members of degree x; 0 at non-integer x."""
-        k = self._degree(x, self.add_horizon)
+        k = self._degree(x)
         if k is None:
             return 0
         return 1 if k == 0 else self._totals_fn(k)
 
     def S_plus(self, x) -> int:
         """Connected members of degree x; 0 at non-integer x."""
-        k = self._degree(x, self.add_horizon)
+        k = self._degree(x)
         if k is None or k == 0:
             return 0
         return self._connected_fn(k)
 
     def S_box(self, x) -> int:
         """Multiplicative primes of degree x; 0 at non-integer x."""
-        k = self._degree(x, self.box_horizon)
+        k = self._degree(x)
         if k is None or k <= 1:
             return 0
         return self._box_fn(k)
@@ -217,26 +217,26 @@ def _is_hamming_member(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return all(_is_connected_hamming(c, cap) for c in connected_components(g))
 
 
-def instance_all_graphs(horizon: int = 24, box_horizon: int = 16,
+def instance_all_graphs(horizon: int = 24,
                         enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
-    """The semiring of all graphs under disjoint union and cartesian product."""
+    """The semiring of all graphs under disjoint union and cartesian product.
+
+    Counting is arithmetic: totals by cycle index, connected counts by the
+    Euler inverse, and prime counts from the connected counts by unique
+    factorization.  No graph is built to count anything.
+    """
     if horizon > 24:
         raise CapacityError("all-graphs horizon is limited to 24")
-    if box_horizon > 16:
-        raise CapacityError("all-graphs prime-count horizon is limited to 16")
     connected = graph_connected_totals(horizon)
-
-    def box_fn(n: int) -> int:
-        return connected.at(n) - len(composite_set(n, enum_cap))
+    primes = prime_counts_by_factorization(connected, horizon)
 
     return SemiringInstance(
         name="graphs",
         add_horizon=horizon,
-        box_horizon=box_horizon,
         enum_horizon=enum_cap,
-        totals_fn=count_graphs_polya,
+        totals_fn=graph_totals(horizon).at,
         connected_fn=connected.at,
-        box_fn=box_fn,
+        box_fn=primes.at,
         member_fn=lambda g: True,
         prime_fn=lambda g: is_cartesian_prime(g, enum_cap),
     )
@@ -298,7 +298,6 @@ def instance_even_edge(horizon: int = 8,
     return SemiringInstance(
         name="even",
         add_horizon=horizon,
-        box_horizon=horizon,
         enum_horizon=horizon,
         totals_fn=lambda n: len(members(n)),
         connected_fn=connected_fn,
@@ -327,7 +326,6 @@ def instance_hamming(horizon: int = 64,
     return SemiringInstance(
         name="hamming",
         add_horizon=horizon,
-        box_horizon=horizon,
         enum_horizon=enum_cap,
         totals_fn=totals.at,
         connected_fn=connected.at,

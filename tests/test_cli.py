@@ -133,9 +133,9 @@ def test_identical_invocations_are_byte_identical():
 
 
 def test_capacity_exit_code():
-    result = run_cli("census", "--instance", "graphs", "--n", "17")
+    result = run_cli("census", "--instance", "graphs", "--n", "25")
     assert result.returncode == 2
-    assert "17" in result.stderr
+    assert "25" in result.stderr
 
 
 def test_domain_exit_code():

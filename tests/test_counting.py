@@ -7,9 +7,12 @@ from boxprime.counting import (CountSequence, SignedSequence,
                                count_graphs_polya, euler_inverse,
                                euler_transform, graph_connected_totals,
                                graph_totals, inversion_coefficients,
+                               prime_counts_by_factorization,
                                truncated_prime_estimate)
 from boxprime.errors import CapacityError, DomainError
 from boxprime.graphs import enumerate_connected, enumerate_graphs
+from _oracles import (composite_count_by_multisets,
+                      multiplicative_partition_count)
 
 TOTALS_THROUGH_12 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668,
                      12005168, 1018997864, 165091172592)
@@ -68,6 +71,34 @@ def test_inverse_rejects_impossible_totals():
     # a degree-1 object forces at least one degree-2 multiset
     with pytest.raises(DomainError):
         euler_inverse(CountSequence.totals((1, 1, 0)), 2)
+
+
+def test_prime_counts_by_factorization_match_multiset_oracle():
+    connected = graph_connected_totals(24)
+    primes = prime_counts_by_factorization(connected, 24)
+    assert primes.window()[:8] == [(1, 0), (2, 1), (3, 2), (4, 5), (5, 21),
+                                   (6, 110), (7, 853), (8, 11111)]
+    for n in range(2, 25):
+        composites = composite_count_by_multisets(n, primes.at)
+        assert primes.at(n) == connected.at(n) - composites, n
+
+
+def test_prime_counts_by_factorization_of_hamming_counts():
+    # products of complete graphs: exactly one prime, K_n, at each order
+    connected = CountSequence.primes(
+        [multiplicative_partition_count(n) for n in range(1, 65)])
+    primes = prime_counts_by_factorization(connected, 64)
+    assert [primes.at(n) for n in range(2, 65)] == [1] * 63
+
+
+def test_prime_counts_by_factorization_rejects_bad_input():
+    with pytest.raises(DomainError):
+        prime_counts_by_factorization(CountSequence.primes([1, 1, 2]), 4)
+    with pytest.raises(DomainError):
+        prime_counts_by_factorization(CountSequence((1, 2, 6), offset=2), 4)
+    # one prime of order 2 makes one composite of order 4, but none exists
+    with pytest.raises(DomainError):
+        prime_counts_by_factorization(CountSequence.primes([1, 1, 0, 0]), 4)
 
 
 def test_inversion_coefficients_for_graph_counts():

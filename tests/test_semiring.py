@@ -3,16 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from boxprime import factor, semiring
 from boxprime.counting import CountSequence, euler_transform
 from boxprime.errors import CapacityError, DomainError
-from boxprime.factor import is_cartesian_prime
+from boxprime.factor import count_composites, is_cartesian_prime
 from boxprime.graphs import (Graph, canonical_form, cartesian_product,
                              complete_graph, cycle_graph, disjoint_union,
                              empty_graph, enumerate_connected, path_graph)
 from boxprime.semiring import (ADDITIVE_IDENTITY, MULTIPLICATIVE_IDENTITY,
                                SemiringElement, build_instance, closure_check,
                                hamming_degree, hamming_polynomial,
-                               monotonicity_report, self_complementary_count,
+                               instance_all_graphs, monotonicity_report,
+                               self_complementary_count,
                                self_complementary_identity)
 from _oracles import multiplicative_partition_count
 
@@ -41,6 +43,23 @@ def test_graphs_instance_sequences(graphs_instance):
     assert tuple(inst.S_plus(n) for n in range(1, 9)) == GRAPH_CONNECTED
     assert tuple(inst.S_box(n) for n in range(2, 9)) == GRAPH_PRIMES
     assert inst.p == 2
+
+
+def test_graphs_prime_counts_match_composite_tables(graphs_instance):
+    inst = graphs_instance
+    for n in range(2, 17):
+        assert inst.S_box(n) == inst.S_plus(n) - count_composites(n), n
+
+
+def test_graphs_prime_counts_build_no_graph(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("prime counting built a graph")
+
+    monkeypatch.setattr(factor, "composite_map", forbidden)
+    monkeypatch.setattr(semiring, "canonical_form", forbidden)
+    monkeypatch.setattr(semiring, "cartesian_product", forbidden)
+    inst = instance_all_graphs()
+    assert all(inst.S_box(n) > 0 for n in range(2, 25))
 
 
 def test_even_instance_sequences(even_instance):
@@ -96,7 +115,7 @@ def test_sequence_access_conventions(graphs_instance):
     with pytest.raises(CapacityError):
         inst.S(25)
     with pytest.raises(CapacityError):
-        inst.S_box(17)
+        inst.S_box(25)
 
 
 def test_membership(graphs_instance, even_instance, hamming_instance):
