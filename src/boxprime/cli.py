@@ -11,7 +11,9 @@ Six subcommands expose the library as reproducible batch jobs:
 
 All arithmetic is exact; output is a pure function of the arguments, so
 identical invocations produce byte-identical text.  Exit codes: 0 success,
-2 capacity exceeded, 3 domain error, 4 parse error.
+2 capacity exceeded, 3 domain error, 4 parse error.  `factor` reports each
+bad input on stderr, answers the others, and exits with the code of the
+first failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .bounds import (additive_gap_sandwich, cut_bound,
                      growth_ratio_diagnostics, leading_term_check,
                      multiplicative_gap_sandwich, prime_gap_bound)
 from .counting import graph_connected_totals, graph_totals, inversion_coefficients
-from .errors import CapacityError, DomainError, ParseError
+from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
 from .factor import factorize
 from .graph6 import encode_graph6, parse_graph6
@@ -34,9 +36,16 @@ from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
                        monotonicity_report, self_complementary_identity)
 from .serialize import rows_to_csv, rows_to_json
 
+# --enum-cap ceiling: order 9 has 274668 graphs, order 10 has 12005168
+ENUM_CAP_CEILING = 9
 
-def parse_degree_range(text: str) -> list[int]:
-    """Parse 'N' or 'A..B' into an inclusive list of degrees."""
+# error class, stderr prefix, exit code
+ERROR_KINDS = ((CapacityError, "capacity", 2), (DomainError, "domain", 3),
+               (ParseError, "parse", 4))
+
+
+def parse_degree_range(text: str) -> range:
+    """Parse 'N' or 'A..B' into an inclusive range of degrees."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -49,7 +58,7 @@ def parse_degree_range(text: str) -> list[int]:
         raise ParseError(f"empty degree range {text!r}")
     if lo < 0:
         raise ParseError(f"negative degree in range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def write_text(text: str, out: str | None) -> None:
@@ -82,27 +91,46 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _report_error(exc: BoxprimeError, where: str = "") -> int:
+    """Print exc on stderr under its kind's prefix; return its exit code."""
+    for kind, prefix, code in ERROR_KINDS:
+        if isinstance(exc, kind):
+            print(f"{prefix}: {where}{exc}", file=sys.stderr)
+            return code
+    raise exc
+
+
+def _factor_line(text: str, cap: int) -> str:
+    g = parse_graph6(text)
+    if g.n == 1:
+        return f"{text}: UNIT"
+    factors = factorize(g, cap)
+    counts = Counter(factors)
+    parts = [f"{encode_graph6(f)} x {counts[f]}"
+             for f in sorted(counts, key=canonical_key)]
+    line = f"{text}: " + ", ".join(parts)
+    if len(factors) == 1:
+        line += " PRIME"
+    return line
+
+
 def cmd_factor(args) -> int:
-    texts = list(args.graphs)
-    if not texts:
-        texts = [line.strip() for line in sys.stdin.read().splitlines()
-                 if line.strip()]
+    if args.graphs:
+        inputs = ((f"argument {i}", text)
+                  for i, text in enumerate(args.graphs, 1))
+    else:
+        inputs = ((f"line {i}", line.strip())
+                  for i, line in enumerate(sys.stdin, 1) if line.strip())
     lines = []
-    for text in texts:
-        g = parse_graph6(text)
-        if g.n == 1:
-            lines.append(f"{text}: UNIT")
-            continue
-        factors = factorize(g, args.enum_cap)
-        counts = Counter(factors)
-        parts = [f"{encode_graph6(f)} x {counts[f]}"
-                 for f in sorted(counts, key=canonical_key)]
-        line = f"{text}: " + ", ".join(parts)
-        if len(factors) == 1:
-            line += " PRIME"
-        lines.append(line)
+    status = 0
+    for where, text in inputs:
+        try:
+            lines.append(_factor_line(text, args.enum_cap))
+        except BoxprimeError as exc:
+            code = _report_error(exc, f"{where}: ")
+            status = status or code
     write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    return status
 
 
 def cmd_wright(args) -> int:
@@ -110,7 +138,7 @@ def cmd_wright(args) -> int:
     order = args.R
     if order < 1:
         raise DomainError("truncation order R must be positive")
-    top = max(ns)
+    top = ns[-1]
     totals = graph_totals(top)
     coeffs = inversion_coefficients(totals, max(order, 1))
     polys = [connected_series_polynomial(s, coeffs) for s in range(order)]
@@ -140,8 +168,8 @@ def cmd_bounds(args) -> int:
         rows = [leading_term_check(inst, n) for n in ns]
         columns = ["n", "pn", "gap", "leading", "residual"]
     else:
-        rows = [row for row in growth_ratio_diagnostics(inst, max(ns))
-                if row["n"] >= min(ns)]
+        rows = [row for row in growth_ratio_diagnostics(inst, ns[-1])
+                if row["n"] >= ns[0]]
         columns = list(rows[0].keys()) if rows else ["n"]
     emit(rows, columns, args)
     return 0
@@ -271,16 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.enum_cap > ENUM_CAP_CEILING:
+            raise CapacityError(f"--enum-cap {args.enum_cap} exceeds the "
+                                f"ceiling {ENUM_CAP_CEILING}")
         return args.func(args)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"parse: {exc}", file=sys.stderr)
-        return 4
+    except BoxprimeError as exc:
+        return _report_error(exc)
 
 
 if __name__ == "__main__":

@@ -1,63 +1,85 @@
 """Divisor-style arithmetic functions on connected graphs.
 
-Values come from the prime factorization under the cartesian product:
-exponent patterns drive the counting functions, divisor enumeration drives
-the degree sum, and coprimality (no shared prime factor) drives the
-Euler-style count.  Populations are connected members or multiplicative
-primes of a family instance, with exact rational statistics.
+Values come from the prime factorization under the cartesian product.  Four
+of the functions are multiplicative over distinct primes: each is the
+product, over the distinct prime factors, of a local rule f(k, a) of the
+prime's order k and its exponent a.  The fifth, the Euler-style count, goes
+by coprimality (no shared prime factor).  Populations are connected members
+or multiplicative primes of a family instance, with exact rational
+statistics.  On a family with unique factorization the statistics of the
+multiplicative functions are Dirichlet convolutions over the prime counts,
+so no graph is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
+from operator import add
 
 from .errors import CapacityError, DomainError
-from .factor import composite_set, divisors, factorize
+from .factor import composite_set, factorize
 from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_key,
-                     cartesian_product, enumerate_connected)
+                     cartesian_product)
 from .graph6 import encode_graph6
 from .semiring import SemiringInstance, instance_all_graphs
 
+# local rule f(k, a): the factor contributed by one distinct prime of order
+# k that appears with exponent a; None marks the coprimality count, which
+# is not a product of local factors
+REGISTRY = {
+    "d": lambda k, a: a + 1,
+    "dstar": lambda k, a: 2,
+    "beta": lambda k, a: a,
+    "sigmastar": lambda k, a: (k ** (a + 1) - 1) // (k - 1),
+    "phistar": None,
+}
 
-def _exponents(g: Graph, cap: int) -> Counter:
-    return Counter(canonical_key(f) for f in factorize(g, cap))
+
+def _rule(name: str):
+    if name not in REGISTRY:
+        raise DomainError(f"unknown function {name!r}; "
+                          f"choose from {sorted(REGISTRY)}")
+    return REGISTRY[name]
+
+
+def _multiplicative_value(rule, g: Graph, cap: int) -> int:
+    out = 1
+    for prime, a in Counter(factorize(g, cap)).items():
+        out *= rule(prime.n, a)
+    return out
 
 
 def divisor_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of distinct divisors: product of (exponent + 1)."""
-    out = 1
-    for a in _exponents(g, cap).values():
-        out *= a + 1
-    return out
+    return _multiplicative_value(REGISTRY["d"], g, cap)
 
 
 def unitary_divisor_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of coprime splits g = D box D': 2 to the distinct-prime count."""
-    return 1 << len(_exponents(g, cap))
+    return _multiplicative_value(REGISTRY["dstar"], g, cap)
 
 
 def exponent_product(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Product of the prime exponents; 1 on the unit."""
-    out = 1
-    for a in _exponents(g, cap).values():
-        out *= a
-    return out
+    return _multiplicative_value(REGISTRY["beta"], g, cap)
 
 
 def divisor_sum(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Sum of the orders of all distinct divisors, unit and graph included."""
-    return sum(d.n for d in divisors(g, cap))
+    """Sum of the orders of all distinct divisors, unit and graph included.
+
+    Distinct sub-multisets of the prime factors are distinct divisors, so
+    a prime of order k with exponent a contributes 1 + k + ... + k^a.
+    """
+    return _multiplicative_value(REGISTRY["sigmastar"], g, cap)
 
 
 def _prime_factor_keys(g: Graph, inst: SemiringInstance, cap: int) -> frozenset:
     """Canonical keys of the instance-prime factors of a connected member."""
     if g.n == 1:
         return frozenset()
-    if inst.name == "graphs":
-        return frozenset(canonical_key(f) for f in factorize(g, cap))
-    if inst.name == "hamming":
-        # products of completes factor into completes, all members
+    if inst.unique_factorization:
         return frozenset(canonical_key(f) for f in factorize(g, cap))
     if inst.is_instance_prime(g):
         return frozenset((canonical_key(g),))
@@ -100,48 +122,111 @@ def coprime_count(g: Graph, inst: SemiringInstance | None = None,
     return count
 
 
-REGISTRY = {
-    "d": lambda g, inst, cap: divisor_count(g, cap),
-    "dstar": lambda g, inst, cap: unitary_divisor_count(g, cap),
-    "beta": lambda g, inst, cap: exponent_product(g, cap),
-    "sigmastar": lambda g, inst, cap: divisor_sum(g, cap),
-    "phistar": lambda g, inst, cap: coprime_count(g, inst, cap),
-}
-
-
 def evaluate(name: str, g: Graph, inst: SemiringInstance,
              cap: int = DEFAULT_ENUM_CAP) -> int:
-    if name not in REGISTRY:
-        raise DomainError(f"unknown function {name!r}; "
-                          f"choose from {sorted(REGISTRY)}")
-    return REGISTRY[name](g, inst, cap)
+    rule = _rule(name)
+    if rule is None:
+        return coprime_count(g, inst, cap)
+    return _multiplicative_value(rule, g, cap)
 
 
 def _population(inst: SemiringInstance, n: int, population: str) -> list[Graph]:
     if population == "add":
         return list(inst.connected_members(n))
+    return [h for h in inst.connected_members(n) if inst.is_instance_prime(h)]
+
+
+def _accumulate(series: dict, degree: int, value: int, plus) -> None:
+    series[degree] = value if degree not in series else plus(series[degree], value)
+
+
+def _dirichlet_product(x: dict, y: dict, n: int, plus) -> dict:
+    """Product of two Dirichlet series {degree: coefficient}, kept on the
+    divisors of n; plus combines the terms of one degree."""
+    out: dict[int, int] = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            if n % (i * j) == 0:
+                _accumulate(out, i * j, a * b, plus)
+    return out
+
+
+def _over_members(rule, inst: SemiringInstance, n: int, plus, weight):
+    """Combine rule-products over the connected members of degree n.
+
+    Unique factorization makes the members the multisets of primes whose
+    orders multiply to n, so the Dirichlet series of the members is the
+    product over prime orders k of (1 + sum_a f(k, a) k^-as)^p, p = S_box(k).
+    Each factor is expanded as sum_j weight(p, j) h^j, h its a >= 1 part:
+    weight comb and plus add give the sum of the rule-products, weight 1
+    and plus max their maximum (j <= p parts, one distinct prime each).
+    0 when the degree has no member.
+    """
+    acc = {1: 1}
+    for k in range(2, n + 1):
+        if n % k:
+            continue
+        p = inst.S_box(k)
+        h, q, a = {}, k, 1
+        while n % q == 0:
+            h[q] = rule(k, a)
+            q, a = q * k, a + 1
+        local, power, j = {1: 1}, {1: 1}, 0
+        while power and j < p:
+            j += 1
+            power = _dirichlet_product(power, h, n, plus)
+            for degree, c in power.items():
+                _accumulate(local, degree, weight(p, j) * c, plus)
+        acc = _dirichlet_product(acc, local, n, plus)
+    return acc.get(n, 0)
+
+
+def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
+                              population: str) -> tuple:
+    """count, sum, sum of squares and maximum from the prime counts alone;
+    the maximum is meaningless when the count is 0."""
     if population == "mult":
-        return [h for h in inst.connected_members(n)
-                if inst.is_instance_prime(h)]
-    raise DomainError(f"unknown population {population!r}; use 'add' or 'mult'")
+        if n == 1:
+            raise DomainError(
+                "the one-vertex unit is neither prime nor composite")
+        # a prime of degree n is its own factorization, exponent 1
+        count, value = inst.S_box(n), rule(n, 1)
+        return count, count * value, count * value * value, value
+    return (_over_members(lambda k, a: 1, inst, n, add, comb),
+            _over_members(rule, inst, n, add, comb),
+            _over_members(lambda k, a: rule(k, a) ** 2, inst, n, add, comb),
+            _over_members(rule, inst, n, max, lambda p, j: 1))
 
 
 def population_stats(name: str, inst: SemiringInstance, n: int,
                      population: str, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """Exact sum, mean, variance, and maximum of a function over a prime
     population of degree n.  An empty population flags the moment columns
-    as None instead of failing."""
-    values = [evaluate(name, h, inst, cap)
-              for h in _population(inst, n, population)]
-    count = len(values)
-    total = sum(values)
+    as None instead of failing.
+
+    Multiplicative functions on a family with unique factorization are
+    computed from the prime counts, to the instance horizon; the
+    coprimality count and the other families enumerate the population.
+    """
+    rule = _rule(name)
+    if population not in ("add", "mult"):
+        raise DomainError(
+            f"unknown population {population!r}; use 'add' or 'mult'")
+    if rule is not None and inst.unique_factorization:
+        count, total, squares, top = _moments_by_factorization(
+            rule, inst, n, population)
+    else:
+        values = [evaluate(name, h, inst, cap)
+                  for h in _population(inst, n, population)]
+        count, total = len(values), sum(values)
+        squares, top = sum(v * v for v in values), max(values, default=None)
     row = {"n": n, "population": population, "count": count, "sum": total,
            "mean": None, "variance": None, "max": None}
     if count:
         mean = Fraction(total, count)
         row["mean"] = mean
-        row["variance"] = Fraction(sum(v * v for v in values), count) - mean * mean
-        row["max"] = max(values)
+        row["variance"] = Fraction(squares, count) - mean * mean
+        row["max"] = top
     return row
 
 
@@ -192,13 +277,8 @@ def function_gap_report(name: str, inst: SemiringInstance, orders,
     """
     rows = []
     for n in orders:
-        f_plus = 0
-        f_box = 0
-        for h in inst.connected_members(n):
-            v = evaluate(name, h, inst, cap)
-            f_plus += v
-            if inst.is_instance_prime(h):
-                f_box += v
+        f_plus = population_stats(name, inst, n, "add", cap)["sum"]
+        f_box = population_stats(name, inst, n, "mult", cap)["sum"]
         gap = f_plus - f_box
         against = inst.S(n) - inst.S_plus(n)
         s_plus = inst.S_plus(n)

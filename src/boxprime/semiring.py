@@ -80,12 +80,18 @@ class SemiringInstance:
     domain errors, degrees beyond the configured horizon are capacity
     errors.  Degree 0 is the empty graph: one member, zero connected
     members, zero primes.
+
+    unique_factorization states that every connected member is a unique
+    multiset of instance primes, and that these are the cartesian primes
+    `factorize` returns; statistics over connected members may then be
+    computed from the prime counts alone.
     """
 
     def __init__(self, name: str, add_horizon: int, enum_horizon: int,
                  totals_fn, connected_fn, box_fn, member_fn,
-                 prime_fn) -> None:
+                 prime_fn, unique_factorization: bool = False) -> None:
         self.name = name
+        self.unique_factorization = unique_factorization
         self.add_horizon = add_horizon
         self.enum_horizon = enum_horizon
         self._totals_fn = totals_fn
@@ -239,6 +245,7 @@ def instance_all_graphs(horizon: int = 24,
         box_fn=primes.at,
         member_fn=lambda g: True,
         prime_fn=lambda g: is_cartesian_prime(g, enum_cap),
+        unique_factorization=True,
     )
 
 
@@ -332,6 +339,7 @@ def instance_hamming(horizon: int = 64,
         box_fn=lambda n: 1,
         member_fn=lambda g: _is_hamming_member(g, enum_cap),
         prime_fn=is_complete,
+        unique_factorization=True,
     )
 
 

@@ -18,8 +18,6 @@ def render_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     return str(value)
 
 

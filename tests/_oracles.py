@@ -6,9 +6,11 @@ on every input small enough to afford them.
 """
 
 from collections import Counter
-from itertools import permutations
-from math import comb
+from fractions import Fraction
+from itertools import permutations, product
+from math import comb, factorial, prod
 
+from boxprime.functions import evaluate
 from boxprime.graphs import Graph, relabel
 
 
@@ -64,3 +66,71 @@ def composite_count_by_multisets(n: int, primes_at) -> int:
             ways *= comb(primes_at(order) + mult - 1, mult)
         total += ways
     return total
+
+
+def population_stats_by_enumeration(name: str, inst, n: int,
+                                    population: str) -> dict:
+    """Statistics of a function over the enumerated population of degree n,
+    each member evaluated on its own."""
+    members = inst.connected_members(n)
+    if population == "mult":
+        members = [g for g in members if inst.is_instance_prime(g)]
+    values = [evaluate(name, g, inst) for g in members]
+    row = {"n": n, "population": population, "count": len(values),
+           "sum": sum(values), "mean": None, "variance": None, "max": None}
+    if values:
+        mean = Fraction(sum(values), len(values))
+        row["mean"] = mean
+        row["variance"] = (Fraction(sum(v * v for v in values), len(values))
+                           - mean * mean)
+        row["max"] = max(values)
+    return row
+
+
+def _partitions(m: int, largest: int):
+    """Partitions of m as nonincreasing tuples with parts at most largest."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def multiplicative_stats_by_patterns(rule, primes_at, n: int) -> tuple:
+    """count, sum, sum of squares and maximum of a multiplicative function
+    over the prime multisets of product degree n.
+
+    Walks every multiset of prime orders with product n, then every way to
+    split the primes of one order into distinct primes with exponents (a
+    partition of its multiplicity), counting the choices of distinct primes
+    directly.  Maximum is None when there is no multiset.
+    """
+    count = total = squares = 0
+    top = None
+    patterns = [()] if n == 1 else _factor_multisets(n)
+    for parts in patterns:
+        # per order: (ways, value) for every split into distinct primes
+        choices = [[(1, 1)]]
+        for k, m in Counter(parts).items():
+            options = []
+            for exps in _partitions(m, m):
+                ways = 1
+                for i in range(len(exps)):
+                    ways *= primes_at(k) - i
+                for times in Counter(exps).values():
+                    ways //= factorial(times)
+                value = 1
+                for a in exps:
+                    value *= rule(k, a)
+                if ways > 0:
+                    options.append((ways, value))
+            choices.append(options)
+        for pick in product(*choices):
+            ways = prod(w for w, _ in pick)
+            value = prod(v for _, v in pick)
+            count += ways
+            total += ways * value
+            squares += ways * value * value
+            top = value if top is None else max(top, value)
+    return count, total, squares, top

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from boxprime import cli
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import complete_graph, disjoint_union
 
@@ -67,6 +68,26 @@ def test_factor_reads_stdin():
     assert result.stdout == "Bw: Bw x 1 PRIME\nC]: A_ x 2\n"
 
 
+def test_factor_reports_bad_lines_one_at_a_time():
+    result = run_cli("factor", stdin="A_\n!!\n\nC]\nA\n")
+    assert result.returncode == 4
+    assert result.stdout == "A_: A_ x 1 PRIME\nC]: A_ x 2\n"
+    assert result.stderr.splitlines() == [
+        "parse: line 2: invalid graph6 header byte 33",
+        "parse: line 5: graph6 body for order 2 needs 1 characters, got 0",
+    ]
+
+
+def test_factor_exits_with_the_first_failure():
+    disconnected = encode_graph6(disjoint_union(complete_graph(2),
+                                                complete_graph(2)))
+    result = run_cli("factor", "A_", disconnected, "!!")
+    assert result.returncode == 3
+    assert result.stdout == "A_: A_ x 1 PRIME\n"
+    assert [line.split(":")[:2] for line in result.stderr.splitlines()] == [
+        ["domain", " argument 2"], ["parse", " argument 3"]]
+
+
 def test_wright_report_row():
     result = run_cli("wright", "--R", "3", "--n", "8")
     assert result.returncode == 0
@@ -93,6 +114,23 @@ def test_functions_stats_rows():
         "n,population,count,sum,mean,variance,max\n"
         "4,add,6,13,13/6,5/36,3\n"
         "5,add,21,42,2,0,2\n")
+
+
+def test_functions_past_the_enumeration_cap():
+    result = run_cli("functions", "--fn", "d", "--n", "0..1", "--population",
+                     "add")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1:] == ["0,add,0,0,,,", "1,add,1,1,1,0,1"]
+    # 261077 primes with d = 2, and K3^2, P3^2, K3 x P3 with d = 3, 3, 4
+    result = run_cli("functions", "--fn", "d", "--n", "9", "--population",
+                     "add")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1] == \
+        "9,add,261080,522164,130541/65270,24476/1065043225,4"
+    assert run_cli("functions", "--fn", "phistar", "--n", "9").returncode == 2
+    assert run_cli("functions", "--fn", "d", "--n", "1").returncode == 3
+    assert run_cli("functions", "--fn", "d", "--n", "25", "--population",
+                   "add").returncode == 2
 
 
 def test_semiring_monotonicity_descents():
@@ -134,6 +172,25 @@ def test_identical_invocations_are_byte_identical():
 
 def test_capacity_exit_code():
     result = run_cli("census", "--instance", "graphs", "--n", "25")
+    assert result.returncode == 2
+    assert "25" in result.stderr
+
+
+def test_enum_cap_ceiling_is_checked_before_any_instance(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_instance", forbidden)
+    limit = cli.ENUM_CAP_CEILING
+    assert cli.main(["census", "--n", "2", "--enum-cap", str(limit + 1)]) == 2
+    assert capsys.readouterr().err.startswith("capacity: --enum-cap")
+    assert cli.main(["factor", "A_", "--enum-cap", str(limit + 1)]) == 2
+
+
+def test_degree_range_is_lazy():
+    degrees = cli.parse_degree_range("0..1000000000000")
+    assert isinstance(degrees, range) and len(degrees) == 10 ** 12 + 1
+    result = run_cli("census", "--n", "0..1000000000000")
     assert result.returncode == 2
     assert "25" in result.stderr
 

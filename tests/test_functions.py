@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from boxprime.errors import DomainError
+from boxprime import factor, functions, graphs, semiring
+from boxprime.errors import CapacityError, DomainError
+from boxprime.factor import divisors
 from boxprime.functions import (REGISTRY, coprime_count, divisor_count,
                                 divisor_sum, evaluate, exponent_product,
                                 function_gap_report, population_stats,
@@ -11,6 +13,10 @@ from boxprime.functions import (REGISTRY, coprime_count, divisor_count,
 from boxprime.graphs import (canonical_form, cartesian_product,
                              complete_graph, cycle_graph, empty_graph,
                              enumerate_connected, path_graph)
+from boxprime.semiring import instance_all_graphs, instance_hamming
+
+from _oracles import (multiplicative_stats_by_patterns,
+                      population_stats_by_enumeration)
 
 K1 = empty_graph(1)
 K2 = complete_graph(2)
@@ -162,3 +168,75 @@ def test_gap_vanishes_at_prime_orders(graphs_instance):
     for n in (5, 7):
         row = function_gap_report("d", graphs_instance, [n])[0]
         assert row["gap"] == 0
+
+
+MULTIPLICATIVE = ("d", "dstar", "beta", "sigmastar")
+
+
+@pytest.mark.parametrize("instance", ["graphs_instance", "hamming_instance"])
+def test_population_stats_match_enumeration(instance, request):
+    inst = request.getfixturevalue(instance)
+    assert inst.unique_factorization
+    for name in MULTIPLICATIVE:
+        for n in range(0, 9):
+            for population in ("add", "mult"):
+                if n == 1 and population == "mult":
+                    continue
+                assert population_stats(name, inst, n, population) == \
+                    population_stats_by_enumeration(name, inst, n, population), \
+                    (name, n, population)
+
+
+def test_divisor_functions_match_divisor_lists():
+    for n in range(1, 9):
+        for g in enumerate_connected(n):
+            divs = divisors(g)
+            assert divisor_sum(g) == sum(d.n for d in divs)
+            assert divisor_count(g) == len(divs)
+
+
+def test_population_stats_build_no_graph(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("population statistics built a graph")
+
+    for module in (functions, factor, graphs, semiring):
+        for attr in ("enumerate_graphs", "enumerate_connected",
+                     "canonical_form", "factorize"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    for inst, horizon in ((instance_all_graphs(), 24), (instance_hamming(), 64)):
+        for n in range(2, horizon + 1):
+            for name in MULTIPLICATIVE:
+                add = population_stats(name, inst, n, "add")
+                mult = population_stats(name, inst, n, "mult")
+                assert add["count"] == inst.S_plus(n)
+                squares = (add["variance"] + add["mean"] ** 2) * add["count"]
+                assert (add["count"], add["sum"], squares, add["max"]) == \
+                    multiplicative_stats_by_patterns(REGISTRY[name],
+                                                     inst.S_box, n), (name, n)
+                assert mult["count"] == inst.S_box(n)
+                assert mult["sum"] == mult["count"] * REGISTRY[name](n, 1)
+            assert function_gap_report("d", inst, [n])[0]["f_box"] == \
+                2 * inst.S_box(n)
+    # K2^3 x K3 beats every other factorization of order 24
+    row = population_stats("sigmastar", instance_all_graphs(), 24, "add")
+    assert row["max"] == 15 * 4
+
+
+def test_population_stats_edge_orders(graphs_instance, hamming_instance):
+    for inst in (graphs_instance, hamming_instance):
+        for name in MULTIPLICATIVE:
+            for population in ("add", "mult"):
+                row = population_stats(name, inst, 0, population)
+                assert row == {"n": 0, "population": population, "count": 0,
+                               "sum": 0, "mean": None, "variance": None,
+                               "max": None}
+            assert population_stats(name, inst, 1, "add") == {
+                "n": 1, "population": "add", "count": 1, "sum": 1,
+                "mean": 1, "variance": 0, "max": 1}
+            with pytest.raises(DomainError):
+                population_stats(name, inst, 1, "mult")
+    with pytest.raises(CapacityError):
+        population_stats("d", graphs_instance, 25, "add")
+    with pytest.raises(CapacityError):
+        population_stats("d", hamming_instance, 65, "mult")
