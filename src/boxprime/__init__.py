@@ -17,8 +17,7 @@ from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import (RationalPolynomial, connected_series_polynomial,
                         expansion_error_bound, expansion_error_report,
                         expansion_partial_sum, total_series_polynomial)
-from .factor import (composite_map, composite_set, count_composites,
-                     count_primes, divisors, factorize, is_cartesian_prime,
+from .factor import (divisors, factor_layers, factorize, is_cartesian_prime,
                      product_of)
 from .functions import (coprime_count, divisor_count, divisor_sum, evaluate,
                         exponent_product, population_stats,
@@ -50,8 +49,8 @@ __all__ = [
     "RationalPolynomial", "connected_series_polynomial",
     "expansion_error_bound", "expansion_error_report",
     "expansion_partial_sum", "total_series_polynomial",
-    "composite_map", "composite_set", "count_composites", "count_primes",
-    "divisors", "factorize", "is_cartesian_prime", "product_of",
+    "divisors", "factor_layers", "factorize", "is_cartesian_prime",
+    "product_of",
     "SemiringElement", "SemiringInstance", "build_instance", "closure_check",
     "hamming_degree", "hamming_polynomial", "instance_all_graphs",
     "instance_even_edge", "instance_hamming", "monotonicity_report",

@@ -30,7 +30,7 @@ from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
 from .factor import factorize
 from .graph6 import encode_graph6, parse_graph6
-from .graphs import DEFAULT_ENUM_CAP, canonical_key
+from .graphs import DEFAULT_ENUM_CAP
 from .functions import REGISTRY, population_stats
 from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
                        monotonicity_report, self_complementary_identity)
@@ -100,14 +100,14 @@ def _report_error(exc: BoxprimeError, where: str = "") -> int:
     raise exc
 
 
-def _factor_line(text: str, cap: int) -> str:
+def _factor_line(text: str) -> str:
     g = parse_graph6(text)
     if g.n == 1:
         return f"{text}: UNIT"
-    factors = factorize(g, cap)
+    factors = factorize(g)
+    # factorize sorts, and a Counter keeps first-seen order
     counts = Counter(factors)
-    parts = [f"{encode_graph6(f)} x {counts[f]}"
-             for f in sorted(counts, key=canonical_key)]
+    parts = [f"{encode_graph6(f)} x {times}" for f, times in counts.items()]
     line = f"{text}: " + ", ".join(parts)
     if len(factors) == 1:
         line += " PRIME"
@@ -125,7 +125,7 @@ def cmd_factor(args) -> int:
     status = 0
     for where, text in inputs:
         try:
-            lines.append(_factor_line(text, args.enum_cap))
+            lines.append(_factor_line(text))
         except BoxprimeError as exc:
             code = _report_error(exc, f"{where}: ")
             status = status or code
@@ -177,8 +177,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_functions(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    rows = [population_stats(args.fn, inst, n, args.population,
-                             cap=args.enum_cap)
+    rows = [population_stats(args.fn, inst, n, args.population)
             for n in parse_degree_range(args.n)]
     emit(rows, ["n", "population", "count", "sum", "mean", "variance", "max"],
          args)

@@ -210,16 +210,38 @@ def prime_counts_by_factorization(connected: CountSequence,
             raise DomainError(
                 f"connected counts admit no unique factorization: degree {k} "
                 f"has {products[k]} composites but {connected.at(k)} members")
-        # multiply in (1 - k^-s)^-p(k), which has coefficient C(p+m-1, m)
-        # at k^m; descending j reads each products[j / k^m] before updating it
-        for j in range(max_degree - max_degree % k, k - 1, -k):
-            q, m = j // k, 1
-            while True:
-                products[j] += comb(p[k] + m - 1, m) * products[q]
-                if q % k:
-                    break
-                q, m = q // k, m + 1
+        _multiply_euler_factor(products, k, p[k])
     return CountSequence.primes(p[1:])
+
+
+def _multiply_euler_factor(products: list[int], k: int, count: int) -> None:
+    """Multiply the Dirichlet series products[1:] by (1 - k^-s)^-count in
+    place: count primes of degree k, each usable any number of times."""
+    top = len(products) - 1
+    # (1 - k^-s)^-count has coefficient C(count+m-1, m) at k^m; descending
+    # j reads each products[j / k^m] before updating it
+    for j in range(top - top % k, k - 1, -k):
+        q, m = j // k, 1
+        while True:
+            products[j] += comb(count + m - 1, m) * products[q]
+            if q % k:
+                break
+            q, m = q // k, m + 1
+
+
+def prime_multiset_count(n: int, primes_at) -> int:
+    """Multisets of primes whose degrees multiply to n, given the number
+    primes_at(k) of primes of each degree k >= 2 dividing n: the
+    coefficient of n^-s in prod_k (1 - k^-s)^-primes_at(k).  1 at n = 1.
+    """
+    if n < 1:
+        raise DomainError("degree must be positive")
+    products = [0] * (n + 1)
+    products[1] = 1
+    for k in range(2, n + 1):
+        if n % k == 0:
+            _multiply_euler_factor(products, k, primes_at(k))
+    return products[n]
 
 
 def _weighted_divisor_sums(primes: CountSequence, n: int) -> list[int]:

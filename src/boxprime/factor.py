@@ -1,126 +1,194 @@
 """Prime factorization of connected graphs under the cartesian product.
 
 Connected graphs factor uniquely into primes under the cartesian product,
-with the one-vertex graph as the unit.  Composites of a given order are
-found exhaustively: every product of two smaller connected graphs is
-canonicalized and recorded with one witness pair, so factorization is a
-recursive table lookup.
+with the one-vertex graph as the unit.  The factors are read off the
+labelled graph by Feder's product relation: the equivalence classes of
+(Theta u tau)* on the edges are the classes of the product relation, so
+each class spans the layers of one prime factor (Feder, "Product graph
+representations", J. Graph Theory 1992; Imrich and Klavzar, Product
+Graphs, 2000).  Theta is the Djokovic-Winkler distance relation; tau joins
+two edges that meet at a vertex but lie on no common chordless square.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
+from math import isqrt
 
 from .errors import CapacityError, DomainError
-from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form, canonical_key,
-                     cartesian_product, empty_graph, enumerate_connected,
-                     is_connected)
+from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
+                     empty_graph, induced_subgraph, is_connected)
 
-_LOCK = threading.Lock()
-_COMPOSITE_MAPS: dict[tuple[int, bool], dict] = {}
-
-
-def _split_orders(n: int) -> list[tuple[int, int]]:
-    return [(a, n // a) for a in range(2, n + 1) if a * a <= n and n % a == 0]
+# largest order factorized; the 8-cube has 256 vertices
+ORDER_LIMIT = 256
 
 
-def composite_map(n: int, cap: int = DEFAULT_ENUM_CAP,
-                  descending: bool = False) -> dict:
-    """Canonical key of every connected order-n composite, with a witness pair.
+def _is_prime_number(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
-    The witness is one (A, B) whose product realizes the key, chosen
-    deterministically: smallest left order first (largest when descending),
-    then enumeration order.  The key set is identical either way; the two
-    directions exist to cross-check factorization against itself.
-    """
-    if n < 1:
-        raise DomainError("order must be positive")
-    with _LOCK:
-        cached = _COMPOSITE_MAPS.get((n, descending))
-    if cached is not None:
-        return cached
-    splits = _split_orders(n)
-    for a, b in splits:
-        if b > cap:
-            raise CapacityError(
-                f"composites of order {n} need factors of order {b}, cap is {cap}")
-    if descending:
-        splits = splits[::-1]
-    out: dict[tuple[int, int], tuple[Graph, Graph]] = {}
-    for a, b in splits:
-        lefts = enumerate_connected(a, cap)
-        rights = enumerate_connected(b, cap) if b != a else lefts
-        for g1 in lefts:
-            for g2 in rights:
-                key = canonical_key(cartesian_product(g1, g2))
-                out.setdefault(key, (g1, g2))
-    with _LOCK:
-        _COMPOSITE_MAPS.setdefault((n, descending), out)
+
+def _bits_of(mask: int):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _distance_layers(rows) -> list[list[int]]:
+    """Breadth-first layers from every vertex: entry [u][k] masks the
+    vertices at distance k from u."""
+    out = []
+    for u in range(len(rows)):
+        seen = frontier = 1 << u
+        layers = [frontier]
+        while True:
+            reach = 0
+            for v in _bits_of(frontier):
+                reach |= rows[v]
+            frontier = reach & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            layers.append(frontier)
+        out.append(layers)
     return out
 
 
-def composite_set(n: int, cap: int = DEFAULT_ENUM_CAP) -> frozenset:
-    """Canonical keys of the connected order-n composites."""
-    return frozenset(composite_map(n, cap))
+def _layer_masks(g: Graph) -> list[int]:
+    """Vertex masks of the layers through vertex 0, one per prime factor.
+
+    A single mask (all vertices) means g is prime.  g must be connected
+    with at least two vertices and at most ORDER_LIMIT.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    if _is_prime_number(n):
+        # the order of a product is the product of the factor orders
+        return [full]
+    rows = g.rows
+    edges = [(u, v) for u in range(n) for v in _bits_of(rows[u] >> u << u)]
+    eid = {}
+    for e, (u, v) in enumerate(edges):
+        eid[u * n + v] = eid[v * n + u] = e
+    parent = list(range(len(edges)))
+    classes = len(edges)
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    def join(e: int, f: int) -> bool:
+        nonlocal classes
+        re, rf = find(e), find(f)
+        if re != rf:
+            parent[rf] = re
+            classes -= 1
+        return classes == 1
+
+    # tau: edges xu, xv with u ~ v, or with no w ~ u, v outside N[x]
+    for x in range(n):
+        nx = rows[x]
+        closed = nx | (1 << x)
+        nbrs = list(_bits_of(nx))
+        for i, u in enumerate(nbrs):
+            ru = rows[u]
+            for v in nbrs[i + 1:]:
+                if (ru >> v) & 1 or not (ru & rows[v] & ~closed):
+                    if join(eid[x * n + u], eid[x * n + v]):
+                        return [full]
+
+    # Theta: xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y); the three
+    # values -1, 0, 1 split the vertices, and uv joins every crossing edge
+    layers = _distance_layers(rows)
+    for e, (u, v) in enumerate(edges):
+        lu, lv = layers[u], layers[v]
+        near_u = near_v = 0
+        for a, b in zip(lu, lv[1:]):
+            near_u |= a & b
+        for a, b in zip(lv, lu[1:]):
+            near_v |= a & b
+        middle = full ^ near_u ^ near_v
+        root = find(e)
+        # crossing edges leave the vertices nearer u, or join the
+        # equidistant vertices to those nearer v
+        for side, across in ((near_u, ~near_u), (middle, near_v)):
+            for x in _bits_of(side):
+                base = x * n
+                cross = rows[x] & across
+                while cross:
+                    low = cross & -cross
+                    cross ^= low
+                    other = find(eid[base + low.bit_length() - 1])
+                    if other != root:
+                        parent[other] = root
+                        classes -= 1
+        if classes == 1:
+            return [full]
+
+    # the layer of each class through vertex 0
+    out = []
+    for root in sorted({find(eid[v]) for v in _bits_of(rows[0])}):
+        class_rows = [0] * n
+        for e, (u, v) in enumerate(edges):
+            if find(e) == root:
+                class_rows[u] |= 1 << v
+                class_rows[v] |= 1 << u
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in _bits_of(frontier):
+                reach |= class_rows[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        out.append(seen)
+    return out
 
 
-def count_composites(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    return len(composite_map(n, cap))
+@lru_cache(maxsize=1 << 16)
+def factor_layers(g: Graph) -> tuple[Graph, ...]:
+    """The prime factors of a connected graph as its layers through vertex 0.
 
-
-def count_primes(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of connected prime graphs of order n."""
-    if n < 1:
-        raise DomainError("order must be positive")
-    if n == 1:
-        return 0
-    return len(enumerate_connected(n, cap)) - count_composites(n, cap)
-
-
-def _require_connected(g: Graph) -> None:
+    Each layer is an induced subgraph relabelled in increasing vertex
+    order, isomorphic to its factor but not canonical; the unit gives an
+    empty tuple.  Orders above ORDER_LIMIT are refused before any work.
+    Results are memoized per labelled graph.
+    """
+    if g.n > ORDER_LIMIT:
+        raise CapacityError(
+            f"factorization of order {g.n} exceeds the limit {ORDER_LIMIT}")
     if not is_connected(g):
         raise DomainError("factorization is defined for connected graphs only")
+    if g.n == 1:
+        return ()
+    masks = _layer_masks(g)
+    if len(masks) == 1:
+        return (g,)
+    return tuple(induced_subgraph(g, m) for m in masks)
 
 
-def is_cartesian_prime(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_cartesian_prime(g: Graph) -> bool:
     """Whether a connected graph of order >= 2 is prime.
 
     The one-vertex graph is the unit of the product, neither prime nor
     composite, and is rejected.
     """
-    _require_connected(g)
-    if g.n < 2:
+    if g.n == 1:
         raise DomainError("the one-vertex unit is neither prime nor composite")
-    return canonical_key(g) not in composite_map(g.n, cap)
+    return len(factor_layers(g)) == 1
 
 
-def factorize(g: Graph, cap: int = DEFAULT_ENUM_CAP,
-              descending: bool = False) -> tuple[Graph, ...]:
+def factorize(g: Graph) -> tuple[Graph, ...]:
     """Prime factors of a connected graph, canonical and sorted, with repeats.
 
-    The unit gives an empty tuple; a prime gives itself.  The search
-    direction picks which witness drives the recursion; unique factorization
-    means the result is independent of it.
+    The unit gives an empty tuple; a prime gives its canonical form.
+    Canonical graphs order by their canonical keys.
     """
-    _require_connected(g)
-    if g.n == 1:
-        return ()
-    return _factorize_canonical(canonical_form(g), cap, descending)
+    return tuple(sorted(canonical_form(f) for f in factor_layers(g)))
 
 
-@lru_cache(maxsize=1 << 16)
-def _factorize_canonical(cg: Graph, cap: int,
-                         descending: bool) -> tuple[Graph, ...]:
-    witness = composite_map(cg.n, cap, descending).get((cg.n, cg.bits))
-    if witness is None:
-        return (cg,)
-    a, b = witness
-    return tuple(sorted(factorize(a, cap, descending) + factorize(b, cap, descending),
-                        key=canonical_key))
-
-
-def product_of(factors, cap: int = DEFAULT_ENUM_CAP) -> Graph:
+def product_of(factors) -> Graph:
     """Canonical cartesian product of the given graphs; empty input is the unit."""
     acc = empty_graph(1)
     for g in factors:
@@ -128,18 +196,18 @@ def product_of(factors, cap: int = DEFAULT_ENUM_CAP) -> Graph:
     return canonical_form(acc)
 
 
-def divisors(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
+def divisors(g: Graph) -> tuple[Graph, ...]:
     """Distinct divisors of a connected graph, unit and graph included.
 
     A divisor is the product of any sub-multiset of the prime factors;
     results are canonical and sorted by order then packed edges.
     """
-    primes = factorize(g, cap)
+    primes = factorize(g)
     seen: dict[tuple[int, int], Graph] = {}
     subsets = [()]
     for p in primes:
         subsets = subsets + [s + (p,) for s in subsets]
     for sub in subsets:
-        d = product_of(sub, cap)
+        d = product_of(sub)
         seen.setdefault(canonical_key(d), d)
     return tuple(sorted(seen.values(), key=canonical_key))

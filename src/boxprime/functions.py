@@ -8,7 +8,8 @@ by coprimality (no shared prime factor).  Populations are connected members
 or multiplicative primes of a family instance, with exact rational
 statistics.  On a family with unique factorization the statistics of the
 multiplicative functions are Dirichlet convolutions over the prime counts,
-so no graph is built.
+so no graph is built, and the coprimality count is one coefficient of an
+Euler product over those counts.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
+from .counting import prime_multiset_count
 from .errors import CapacityError, DomainError
-from .factor import composite_set, factorize
-from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_key,
-                     cartesian_product)
+from .factor import factorize
+from .graphs import Graph, canonical_key, cartesian_product
 from .graph6 import encode_graph6
 from .semiring import SemiringInstance, instance_all_graphs
 
@@ -44,90 +45,82 @@ def _rule(name: str):
     return REGISTRY[name]
 
 
-def _multiplicative_value(rule, g: Graph, cap: int) -> int:
+def _multiplicative_value(rule, g: Graph) -> int:
     out = 1
-    for prime, a in Counter(factorize(g, cap)).items():
+    for prime, a in Counter(factorize(g)).items():
         out *= rule(prime.n, a)
     return out
 
 
-def divisor_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
+def divisor_count(g: Graph) -> int:
     """Number of distinct divisors: product of (exponent + 1)."""
-    return _multiplicative_value(REGISTRY["d"], g, cap)
+    return _multiplicative_value(REGISTRY["d"], g)
 
 
-def unitary_divisor_count(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
+def unitary_divisor_count(g: Graph) -> int:
     """Number of coprime splits g = D box D': 2 to the distinct-prime count."""
-    return _multiplicative_value(REGISTRY["dstar"], g, cap)
+    return _multiplicative_value(REGISTRY["dstar"], g)
 
 
-def exponent_product(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
+def exponent_product(g: Graph) -> int:
     """Product of the prime exponents; 1 on the unit."""
-    return _multiplicative_value(REGISTRY["beta"], g, cap)
+    return _multiplicative_value(REGISTRY["beta"], g)
 
 
-def divisor_sum(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
+def divisor_sum(g: Graph) -> int:
     """Sum of the orders of all distinct divisors, unit and graph included.
 
     Distinct sub-multisets of the prime factors are distinct divisors, so
     a prime of order k with exponent a contributes 1 + k + ... + k^a.
     """
-    return _multiplicative_value(REGISTRY["sigmastar"], g, cap)
+    return _multiplicative_value(REGISTRY["sigmastar"], g)
 
 
-def _prime_factor_keys(g: Graph, inst: SemiringInstance, cap: int) -> frozenset:
-    """Canonical keys of the instance-prime factors of a connected member."""
+def _prime_factor_keys(g: Graph, inst: SemiringInstance) -> frozenset:
+    """Canonical keys of the instance-prime factors of a connected member
+    of a family without unique factorization."""
     if g.n == 1:
         return frozenset()
-    if inst.unique_factorization:
-        return frozenset(canonical_key(f) for f in factorize(g, cap))
     if inst.is_instance_prime(g):
         return frozenset((canonical_key(g),))
     raise CapacityError(
         f"{inst.name}: no factorization table for composite members")
 
 
-def _composite_keys(inst: SemiringInstance, n: int, cap: int):
-    """Canonical keys of the instance-composite connected members of degree n."""
-    if n < 2:
-        return frozenset()
-    if inst.name == "graphs":
-        return composite_set(n, cap)
-    return frozenset(canonical_key(h) for h in inst.connected_members(n)
-                     if not inst.is_instance_prime(h))
-
-
-def coprime_count(g: Graph, inst: SemiringInstance | None = None,
-                  cap: int = DEFAULT_ENUM_CAP) -> int:
+def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     """Connected members of the same degree sharing no prime factor with g.
 
-    Counted without enumerating the population: primes of the degree are
-    all coprime to g unless g is that prime, and the few composites are
-    checked factor set against factor set.  For the all-graphs family this
-    works beyond the enumeration cap, for every order n up to the instance
-    horizon whose composite table can be built: each proper divisor of n
-    at most the cap.
+    With unique factorization the coprime members are the prime multisets
+    of product degree n that avoid g's primes: the coefficient of n^-s in
+    prod_k (1 - k^-s)^-(S_box(k) - c_k), c_k the number of distinct primes
+    of degree k dividing g.  That reaches the instance horizon.  Other
+    families walk their composite members factor set against factor set.
     """
     if inst is None:
         inst = instance_all_graphs()
+    if not inst.is_member(g):
+        raise DomainError(f"{inst.name}: graph is not a member")
     n = g.n
+    if inst.unique_factorization:
+        own = Counter(p.n for p in set(factorize(g)))
+        return prime_multiset_count(n, lambda k: inst.S_box(k) - own[k])
     if n == 1:
         return 1 if inst.S_plus(1) else 0
-    factors = _prime_factor_keys(g, inst, cap)
+    factors = _prime_factor_keys(g, inst)
     own_prime = sum(1 for k in factors if k[0] == n)
     count = inst.S_box(n) - own_prime
-    for key in sorted(_composite_keys(inst, n, cap)):
-        if _prime_factor_keys(Graph(*key), inst, cap).isdisjoint(factors):
+    for h in inst.connected_members(n):
+        if (not inst.is_instance_prime(h)
+                and _prime_factor_keys(h, inst).isdisjoint(factors)):
             count += 1
     return count
 
 
-def evaluate(name: str, g: Graph, inst: SemiringInstance,
-             cap: int = DEFAULT_ENUM_CAP) -> int:
+def evaluate(name: str, g: Graph, inst: SemiringInstance) -> int:
     rule = _rule(name)
     if rule is None:
-        return coprime_count(g, inst, cap)
-    return _multiplicative_value(rule, g, cap)
+        return coprime_count(g, inst)
+    return _multiplicative_value(rule, g)
 
 
 def _population(inst: SemiringInstance, n: int, population: str) -> list[Graph]:
@@ -199,7 +192,7 @@ def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
 
 
 def population_stats(name: str, inst: SemiringInstance, n: int,
-                     population: str, cap: int = DEFAULT_ENUM_CAP) -> dict:
+                     population: str) -> dict:
     """Exact sum, mean, variance, and maximum of a function over a prime
     population of degree n.  An empty population flags the moment columns
     as None instead of failing.
@@ -216,7 +209,7 @@ def population_stats(name: str, inst: SemiringInstance, n: int,
         count, total, squares, top = _moments_by_factorization(
             rule, inst, n, population)
     else:
-        values = [evaluate(name, h, inst, cap)
+        values = [evaluate(name, h, inst)
                   for h in _population(inst, n, population)]
         count, total = len(values), sum(values)
         squares, top = sum(v * v for v in values), max(values, default=None)
@@ -231,8 +224,8 @@ def population_stats(name: str, inst: SemiringInstance, n: int,
 
 
 def submultiplicativity_check(name: str, n_max: int,
-                              inst: SemiringInstance | None = None,
-                              cap: int = DEFAULT_ENUM_CAP) -> list[dict]:
+                              inst: SemiringInstance | None = None
+                              ) -> list[dict]:
     """All violations of f(A box B) <= f(A) f(B) over connected member pairs
     with product degree at most n_max.  Empty means the law held."""
     if inst is None:
@@ -245,9 +238,9 @@ def submultiplicativity_check(name: str, n_max: int,
                 break
             lefts = inst.connected_members(a)
             if a not in values:
-                values[a] = [evaluate(name, g, inst, cap) for g in lefts]
+                values[a] = [evaluate(name, g, inst) for g in lefts]
             if b not in values:
-                values[b] = [evaluate(name, g, inst, cap)
+                values[b] = [evaluate(name, g, inst)
                              for g in inst.connected_members(b)]
             for i, g1 in enumerate(lefts):
                 if b == a:
@@ -255,7 +248,7 @@ def submultiplicativity_check(name: str, n_max: int,
                 else:
                     rights = zip(inst.connected_members(b), values[b])
                 for g2, f2 in rights:
-                    product = evaluate(name, cartesian_product(g1, g2), inst, cap)
+                    product = evaluate(name, cartesian_product(g1, g2), inst)
                     split = values[a][i] * f2
                     if product > split:
                         violations.append({
@@ -267,8 +260,23 @@ def submultiplicativity_check(name: str, n_max: int,
     return violations
 
 
-def function_gap_report(name: str, inst: SemiringInstance, orders,
-                        cap: int = DEFAULT_ENUM_CAP) -> list[dict]:
+def _population_sums(name: str, inst: SemiringInstance, n: int) -> tuple:
+    """Sums of a function over the connected members and over the primes
+    of degree n; an enumerated population is walked once."""
+    if _rule(name) is not None and inst.unique_factorization:
+        return (population_stats(name, inst, n, "add")["sum"],
+                population_stats(name, inst, n, "mult")["sum"])
+    f_plus = f_box = 0
+    for h in inst.connected_members(n):
+        value = evaluate(name, h, inst)
+        f_plus += value
+        if inst.is_instance_prime(h):
+            f_box += value
+    return f_plus, f_box
+
+
+def function_gap_report(name: str, inst: SemiringInstance,
+                        orders) -> list[dict]:
     """Per-degree totals of a function over connected members versus primes.
 
     Columns: the two totals, their gap, the disconnected count
@@ -277,8 +285,7 @@ def function_gap_report(name: str, inst: SemiringInstance, orders,
     """
     rows = []
     for n in orders:
-        f_plus = population_stats(name, inst, n, "add", cap)["sum"]
-        f_box = population_stats(name, inst, n, "mult", cap)["sum"]
+        f_plus, f_box = _population_sums(name, inst, n)
         gap = f_plus - f_box
         against = inst.S(n) - inst.S_plus(n)
         s_plus = inst.S_plus(n)

@@ -17,7 +17,7 @@ from .counting import (CountSequence, _as_integer, count_graphs_polya,
                        euler_transform, graph_connected_totals, graph_totals,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
-from .factor import factorize, is_cartesian_prime
+from .factor import factor_layers, is_cartesian_prime
 from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form, canonical_key,
                      cartesian_product, complement, connected_components,
                      disjoint_union, empty_graph, enumerate_graphs,
@@ -203,24 +203,13 @@ def is_complete(g: Graph) -> bool:
     return g.edge_count == comb(g.n, 2)
 
 
-_HAMMING_MEMO_LOCK = threading.Lock()
-_HAMMING_CONNECTED_MEMO: dict[tuple[int, int], bool] = {}
-
-
-def _is_connected_hamming(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def _is_connected_hamming(g: Graph) -> bool:
     """Whether a connected graph is a product of complete graphs."""
-    key = canonical_key(g)
-    with _HAMMING_MEMO_LOCK:
-        got = _HAMMING_CONNECTED_MEMO.get(key)
-    if got is None:
-        got = all(is_complete(f) for f in factorize(g, cap))
-        with _HAMMING_MEMO_LOCK:
-            _HAMMING_CONNECTED_MEMO.setdefault(key, got)
-    return got
+    return all(is_complete(f) for f in factor_layers(g))
 
 
-def _is_hamming_member(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    return all(_is_connected_hamming(c, cap) for c in connected_components(g))
+def _is_hamming_member(g: Graph) -> bool:
+    return all(_is_connected_hamming(c) for c in connected_components(g))
 
 
 def instance_all_graphs(horizon: int = 24,
@@ -244,13 +233,39 @@ def instance_all_graphs(horizon: int = 24,
         connected_fn=connected.at,
         box_fn=primes.at,
         member_fn=lambda g: True,
-        prime_fn=lambda g: is_cartesian_prime(g, enum_cap),
+        prime_fn=is_cartesian_prime,
         unique_factorization=True,
     )
 
 
 def _even_member(g: Graph) -> bool:
     return g.edge_count % 2 == 0
+
+
+def _is_even_prime(g: Graph) -> bool:
+    """Whether a connected even-edge graph is no product of two members.
+
+    |E(G box H)| = |V(G)||E(H)| + |V(H)||E(G)|, so by unique factorization
+    g is a product of two members exactly when its prime factors split into
+    two nonempty parts whose products both have an even number of edges.
+    """
+    primes = [(f.n, f.edge_count) for f in factor_layers(g)]
+    first, rest = primes[0], primes[1:]
+    # every split into two nonempty parts, the first prime on the left
+    for mask in range((1 << len(rest)) - 1):
+        left = [first] + [p for i, p in enumerate(rest) if mask >> i & 1]
+        right = [p for i, p in enumerate(rest) if not mask >> i & 1]
+        if _product_edges(left) % 2 == 0 and _product_edges(right) % 2 == 0:
+            return False
+    return True
+
+
+def _product_edges(primes) -> int:
+    """Edge count of the product of graphs given as (order, edges) pairs."""
+    n, e = 1, 0
+    for k, m in primes:
+        n, e = n * k, n * m + k * e
+    return e
 
 
 def instance_even_edge(horizon: int = 8,
@@ -260,16 +275,14 @@ def instance_even_edge(horizon: int = 8,
     All sequences are enumeration-backed, so the horizon is the enumeration
     cap.  Primality is relative to the family: a connected member is
     composite only if it is a product of two members, each on at least two
-    vertices.  The one-edge graph is not a member, so the least prime degree
-    is 3 and no member composite exists below degree 9.
+    vertices, which its cartesian prime factors decide.  The one-edge graph
+    is not a member, so the least prime degree is 3 and no member composite
+    exists below degree 9.
     """
     if horizon > enum_cap:
         raise CapacityError(
             f"even-edge sequences are enumeration-backed; horizon {horizon} "
             f"exceeds cap {enum_cap}")
-
-    lock = threading.Lock()
-    composites: dict[int, frozenset] = {}
 
     def members(n: int):
         return tuple(g for g in enumerate_graphs(n, enum_cap) if _even_member(g))
@@ -277,30 +290,9 @@ def instance_even_edge(horizon: int = 8,
     def connected_fn(n: int) -> int:
         return sum(1 for g in members(n) if is_connected(g))
 
-    def member_composites(n: int) -> frozenset:
-        with lock:
-            got = composites.get(n)
-        if got is not None:
-            return got
-        keys = set()
-        for a in range(2, n + 1):
-            if a * a > n or n % a:
-                continue
-            lefts = [g for g in members(a) if is_connected(g)]
-            rights = [g for g in members(n // a) if is_connected(g)]
-            for g1 in lefts:
-                for g2 in rights:
-                    keys.add(canonical_key(cartesian_product(g1, g2)))
-        got = frozenset(keys)
-        with lock:
-            composites.setdefault(n, got)
-        return got
-
     def box_fn(n: int) -> int:
-        return connected_fn(n) - len(member_composites(n))
-
-    def prime_fn(g: Graph) -> bool:
-        return canonical_key(g) not in member_composites(g.n)
+        return sum(1 for g in members(n)
+                   if is_connected(g) and _is_even_prime(g))
 
     return SemiringInstance(
         name="even",
@@ -310,7 +302,7 @@ def instance_even_edge(horizon: int = 8,
         connected_fn=connected_fn,
         box_fn=box_fn,
         member_fn=_even_member,
-        prime_fn=prime_fn,
+        prime_fn=_is_even_prime,
     )
 
 
@@ -337,7 +329,7 @@ def instance_hamming(horizon: int = 64,
         totals_fn=totals.at,
         connected_fn=connected.at,
         box_fn=lambda n: 1,
-        member_fn=lambda g: _is_hamming_member(g, enum_cap),
+        member_fn=_is_hamming_member,
         prime_fn=is_complete,
         unique_factorization=True,
     )
@@ -427,7 +419,7 @@ def hamming_polynomial(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> dict[Graph, int
         if not is_connected(h):
             continue
         ch = canonical_form(h)
-        if _is_connected_hamming(ch, cap):
+        if _is_connected_hamming(ch):
             counts[ch] = counts.get(ch, 0) + 1
     return counts
 

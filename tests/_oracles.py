@@ -1,17 +1,22 @@
 """Slow, independent recomputations that validate the fast code paths.
 
 Everything here is deliberately naive: brute force over permutations,
-direct recursion over factor multisets.  The package must agree with these
-on every input small enough to afford them.
+direct recursion over factor multisets, tables of every product of two
+enumerated connected graphs.  The package must agree with these on every
+input small enough to afford them.
 """
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import comb, factorial, prod
 
+from boxprime.errors import CapacityError, DomainError
 from boxprime.functions import evaluate
-from boxprime.graphs import Graph, relabel
+from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
+                             canonical_key, cartesian_product,
+                             enumerate_connected, is_connected, relabel)
 
 
 def exhaustive_minimum_bits(g: Graph) -> int:
@@ -134,3 +139,98 @@ def multiplicative_stats_by_patterns(rule, primes_at, n: int) -> tuple:
             squares += ways * value * value
             top = value if top is None else max(top, value)
     return count, total, squares, top
+
+
+@cache
+def composite_map(n: int) -> dict:
+    """Canonical key of every connected order-n composite, with a witness pair.
+
+    Every product of two connected graphs whose orders multiply to n is
+    built and canonicalized; the witness is the first pair found, smallest
+    left order first.  Factors above the enumeration cap raise.
+    """
+    if n < 1:
+        raise DomainError("order must be positive")
+    splits = [(a, n // a) for a in range(2, n + 1) if a * a <= n and n % a == 0]
+    for a, b in splits:
+        if b > DEFAULT_ENUM_CAP:
+            raise CapacityError(f"composites of order {n} need factors of "
+                                f"order {b}, cap is {DEFAULT_ENUM_CAP}")
+    out: dict[tuple[int, int], tuple[Graph, Graph]] = {}
+    for a, b in splits:
+        for g1 in enumerate_connected(a):
+            for g2 in enumerate_connected(b):
+                out.setdefault(canonical_key(cartesian_product(g1, g2)), (g1, g2))
+    return out
+
+
+def composite_set(n: int) -> frozenset:
+    """Canonical keys of the connected order-n composites."""
+    return frozenset(composite_map(n))
+
+
+def count_composites(n: int) -> int:
+    return len(composite_map(n))
+
+
+def count_primes(n: int) -> int:
+    """Connected prime graphs of order n: enumerated minus tabled composites."""
+    if n < 1:
+        raise DomainError("order must be positive")
+    if n == 1:
+        return 0
+    return len(enumerate_connected(n)) - count_composites(n)
+
+
+def factorize_by_table(g: Graph) -> tuple[Graph, ...]:
+    """Prime factors, canonical and sorted, by recursive witness lookup."""
+    if not is_connected(g):
+        raise DomainError("factorization is defined for connected graphs only")
+    if g.n == 1:
+        return ()
+    cg = canonical_form(g)
+    witness = composite_map(cg.n).get((cg.n, cg.bits))
+    if witness is None:
+        return (cg,)
+    a, b = witness
+    return tuple(sorted(factorize_by_table(a) + factorize_by_table(b),
+                        key=canonical_key))
+
+
+def coprime_counts_by_members(inst, n: int, factor_keys) -> dict:
+    """Coprime count of every connected member of degree n, by brute force.
+
+    factor_keys(h) is the set of prime keys of a member; a member is
+    counted for g unless it shares a key with g.  Members are indexed by
+    prime, so each count is the member total minus the members reached
+    through g's primes.
+    """
+    members = inst.connected_members(n)
+    keys = {h: factor_keys(h) for h in members}
+    by_prime: dict = {}
+    for h, ks in keys.items():
+        for k in ks:
+            by_prime.setdefault(k, set()).add(h)
+    out = {}
+    for g, ks in keys.items():
+        sharing = set()
+        for k in ks:
+            sharing |= by_prime[k]
+        out[g] = len(members) - len(sharing)
+    return out
+
+
+def even_member_composites(n: int) -> frozenset:
+    """Canonical keys of the order-n products of two connected graphs with
+    an even number of edges, each on at least two vertices."""
+    keys = set()
+    for a in range(2, n + 1):
+        if a * a > n or n % a:
+            continue
+        lefts = [g for g in enumerate_connected(a) if g.edge_count % 2 == 0]
+        rights = [g for g in enumerate_connected(n // a)
+                  if g.edge_count % 2 == 0]
+        for g1 in lefts:
+            for g2 in rights:
+                keys.add(canonical_key(cartesian_product(g1, g2)))
+    return frozenset(keys)

@@ -19,8 +19,7 @@ from boxprime.counting import (CountSequence, count_graphs_polya,
 from boxprime.expansion import (RationalPolynomial,
                                 connected_series_polynomial,
                                 expansion_error_report)
-from boxprime.factor import (composite_map, count_composites, count_primes,
-                             factorize, product_of)
+from boxprime.factor import factorize, product_of
 from boxprime.functions import evaluate, submultiplicativity_check
 from boxprime.graph6 import encode_graph6, parse_graph6
 from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
@@ -28,7 +27,8 @@ from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
                              enumerate_graphs, path_graph)
 from boxprime.semiring import closure_check, monotonicity_report, \
     self_complementary_identity
-from _oracles import (composite_count_by_multisets,
+from _oracles import (composite_count_by_multisets, count_composites,
+                      count_primes, factorize_by_table,
                       multiplicative_partition_count)
 from test_cli import run_cli
 
@@ -129,16 +129,15 @@ def test_criterion_07_unique_factorization():
     ok = True
     for n in range(2, 9):
         for g in enumerate_connected(n):
-            up = factorize(g)
-            down = factorize(g, descending=True)
-            if up != down or product_of(up) != g:
+            feder = factorize(g)
+            if feder != factorize_by_table(g) or product_of(feder) != g:
                 ok = False
                 break
         if not ok:
             break
-    record(7, ok, "for every connected graph of order <= 8, both search "
-                  "orders give one prime multiset and its product "
-                  "reproduces the graph")
+    record(7, ok, "for every connected graph of order <= 8, Feder's product "
+                  "relation and the composite-table oracle give one prime "
+                  "multiset and its product reproduces the graph")
 
 
 def test_criterion_08_prime_census_and_gap_identity():

@@ -7,7 +7,8 @@ import pytest
 
 from boxprime import cli
 from boxprime.graph6 import encode_graph6
-from boxprime.graphs import complete_graph, disjoint_union
+from boxprime.graphs import (cartesian_product, complete_graph,
+                             disjoint_union, path_graph)
 
 CENSUS_2_8 = (
     "n,S,S_plus,S_box\n"
@@ -86,6 +87,21 @@ def test_factor_exits_with_the_first_failure():
     assert result.stdout == "A_: A_ x 1 PRIME\n"
     assert [line.split(":")[:2] for line in result.stderr.splitlines()] == [
         ["domain", " argument 2"], ["parse", " argument 3"]]
+
+
+def test_factor_past_the_enumeration_cap():
+    k2 = complete_graph(2)
+    text = encode_graph6(cartesian_product(k2, path_graph(9)))
+    result = run_cli("factor", text)
+    assert result.returncode == 0
+    assert result.stdout == f"{text}: A_ x 1, H??XQa_ x 1\n"
+    cube = k2
+    for _ in range(5):
+        cube = cartesian_product(cube, k2, cap=64)
+    text = encode_graph6(cube)
+    result = run_cli("factor", text)
+    assert result.returncode == 0
+    assert result.stdout == f"{text}: A_ x 6\n"
 
 
 def test_wright_report_row():

@@ -1,15 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from boxprime import factor
 from boxprime.errors import CapacityError, DomainError
-from boxprime.factor import (composite_map, composite_set, count_composites,
-                             count_primes, divisors, factorize,
+from boxprime.factor import (ORDER_LIMIT, divisors, factor_layers, factorize,
                              is_cartesian_prime, product_of)
-from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
-                             complete_graph, cycle_graph, disjoint_union,
-                             empty_graph, enumerate_connected, path_graph,
-                             star_graph)
-from _oracles import composite_count_by_multisets
+from boxprime.graphs import (Graph, canonical_form, canonical_key,
+                             cartesian_product, complete_graph, cycle_graph,
+                             disjoint_union, empty_graph, enumerate_connected,
+                             from_edges, path_graph, relabel, star_graph)
+from _oracles import (composite_count_by_multisets, composite_map,
+                      composite_set, count_composites, count_primes,
+                      factorize_by_table)
 
 PRIME_COUNTS = {2: 1, 3: 2, 4: 5, 5: 21, 6: 110, 7: 853, 8: 11111}
 
@@ -39,9 +43,17 @@ def test_composite_map_witnesses_realize_their_keys():
             assert canonical_key(cartesian_product(a, b)) == key
 
 
-def test_composite_map_directions_agree_on_keys():
-    for n in (4, 6, 8, 9):
-        assert set(composite_map(n)) == set(composite_map(n, descending=True))
+def test_composite_map_keys_are_feder_composites():
+    for n in (4, 6, 8, 9, 10, 12):
+        for key, (a, b) in composite_map(n).items():
+            g = Graph(*key)
+            assert not is_cartesian_prime(g)
+            assert factorize(g) == tuple(sorted(factorize(a) + factorize(b),
+                                                key=canonical_key))
+    for n in (4, 6, 8):
+        feder = {canonical_key(g) for g in enumerate_connected(n)
+                 if not is_cartesian_prime(g)}
+        assert feder == set(composite_map(n)), n
 
 
 def test_composite_map_capacity():
@@ -77,10 +89,10 @@ def test_factorize_known_products():
     assert factorize(empty_graph(1)) == ()
 
 
-def test_factorize_agrees_across_search_orders_small():
+def test_factorize_matches_table_oracle_small():
     for n in range(2, 7):
         for g in enumerate_connected(n):
-            assert factorize(g) == factorize(g, descending=True)
+            assert factorize(g) == factorize_by_table(g)
 
 
 def test_refactoring_reproduces_input_small():
@@ -95,7 +107,7 @@ def test_factorization_round_trip_sampled_order_eight(seed):
     g = pool[seed % len(pool)]
     factors = factorize(g)
     assert product_of(factors) == g
-    assert factors == factorize(g, descending=True)
+    assert factors == factorize_by_table(g)
     assert all(is_cartesian_prime(f) for f in factors)
 
 
@@ -134,3 +146,61 @@ def test_divisor_multisets_multiply_back():
 def test_composite_set_is_subset_of_connected_census():
     keys = {canonical_key(g) for g in enumerate_connected(6)}
     assert composite_set(6) <= keys
+
+
+def _random_connected(rng: random.Random, n: int) -> Graph:
+    # a random spanning tree plus random extra edges
+    density = rng.uniform(0.15, 0.6)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < density}
+    return from_edges(n, pairs)
+
+
+def _random_table_prime(rng: random.Random, n: int) -> Graph:
+    """A random connected graph of order n that the composite table does
+    not list."""
+    while True:
+        g = _random_connected(rng, n)
+        if canonical_key(g) not in composite_map(n):
+            return g
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relabelled_products_with_factors_past_the_old_cap(seed):
+    rng = random.Random(seed)
+    primes = [_random_table_prime(rng, rng.randint(9, 12))]
+    primes += [_random_table_prime(rng, rng.choice((2, 3, 4)))
+               for _ in range(rng.randint(1, 2))]
+    g = primes[0]
+    for p in primes[1:]:
+        g = cartesian_product(g, p, cap=ORDER_LIMIT)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    expected = sorted(canonical_key(p) for p in primes)
+    assert [canonical_key(f) for f in factorize(relabel(g, perm))] == expected
+
+
+def test_hypercubes_up_to_the_order_limit():
+    cube = K2
+    for dim in range(2, 9):
+        cube = cartesian_product(cube, K2, cap=ORDER_LIMIT)
+        if dim == 6:
+            assert factorize(cube) == (K2,) * 6
+    assert cube.n == ORDER_LIMIT
+    assert [f.n for f in factor_layers(cube)] == [2] * 8
+
+
+def test_order_limit_is_checked_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factorization work started")
+
+    big = cartesian_product(K2, path_graph(ORDER_LIMIT // 2 + 1),
+                            cap=ORDER_LIMIT + 2)
+    monkeypatch.setattr(factor, "_distance_layers", forbidden)
+    monkeypatch.setattr(factor, "is_connected", forbidden)
+    with pytest.raises(CapacityError):
+        factorize(big)
+    with pytest.raises(CapacityError):
+        is_cartesian_prime(big)
+

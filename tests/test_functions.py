@@ -10,12 +10,14 @@ from boxprime.functions import (REGISTRY, coprime_count, divisor_count,
                                 function_gap_report, population_stats,
                                 submultiplicativity_check,
                                 unitary_divisor_count)
-from boxprime.graphs import (canonical_form, cartesian_product,
-                             complete_graph, cycle_graph, empty_graph,
-                             enumerate_connected, path_graph)
+from boxprime.graphs import (canonical_form, canonical_key,
+                             cartesian_product, complete_graph, cycle_graph,
+                             empty_graph, enumerate_connected, path_graph)
 from boxprime.semiring import instance_all_graphs, instance_hamming
 
-from _oracles import (multiplicative_stats_by_patterns,
+from _oracles import (coprime_counts_by_members, count_composites,
+                      factorize_by_table,
+                      multiplicative_stats_by_patterns,
                       population_stats_by_enumeration)
 
 K1 = empty_graph(1)
@@ -71,6 +73,14 @@ def test_coprime_count_points(graphs_instance):
     assert coprime_count(PRISM, graphs_instance) == 110
     big = cartesian_product(K2, path_graph(5))
     assert coprime_count(big, graphs_instance) == 11716550
+    # the composites of order 9 are the products of two order-3 primes;
+    # all of them share a prime with P3 x K3, all but P3 x P3 with K3 x K3
+    connected_9 = graphs_instance.S_plus(9)
+    assert count_composites(9) == 3
+    assert coprime_count(cartesian_product(path_graph(3), K3),
+                         graphs_instance) == connected_9 - 3
+    assert coprime_count(cartesian_product(K3, K3),
+                         graphs_instance) == connected_9 - 2
 
 
 def test_multiplicative_on_coprime_pairs(graphs_instance):
@@ -162,6 +172,39 @@ def test_function_gap_report(graphs_instance):
     assert rows[0]["f_plus"] == 30
     assert rows[0]["f_box"] == 25
     assert rows[0]["ratio"] == 1
+
+
+def test_function_gap_report_walks_the_members_once(graphs_instance,
+                                                   monkeypatch):
+    inst = graphs_instance
+    expected = (population_stats("phistar", inst, 8, "add")["sum"],
+                population_stats("phistar", inst, 8, "mult")["sum"])
+    calls = []
+
+    def counted(name, g, inst):
+        calls.append(g)
+        return evaluate(name, g, inst)
+
+    monkeypatch.setattr(functions, "evaluate", counted)
+    row = function_gap_report("phistar", inst, [8])[0]
+    assert len(calls) == inst.S_plus(8)
+    assert (row["f_plus"], row["f_box"]) == expected
+
+
+@pytest.mark.parametrize("instance", ["graphs_instance", "hamming_instance"])
+def test_coprime_count_matches_brute_force(instance, request):
+    inst = request.getfixturevalue(instance)
+
+    def table_keys(h):
+        return frozenset(canonical_key(f) for f in factorize_by_table(h))
+
+    for n in range(1, 9):
+        for g, count in coprime_counts_by_members(inst, n, table_keys).items():
+            assert coprime_count(g, inst) == count, (n, g)
+    if instance == "hamming_instance":
+        # two primes of order 3, and no product of complete graphs
+        with pytest.raises(DomainError):
+            coprime_count(cartesian_product(path_graph(3), K3), inst)
 
 
 def test_gap_vanishes_at_prime_orders(graphs_instance):

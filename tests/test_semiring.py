@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from boxprime import factor, semiring
 from boxprime.counting import CountSequence, euler_transform
 from boxprime.errors import CapacityError, DomainError
-from boxprime.factor import count_composites, is_cartesian_prime
+from boxprime.factor import is_cartesian_prime
 from boxprime.graphs import (Graph, canonical_form, cartesian_product,
                              complete_graph, cycle_graph, disjoint_union,
                              empty_graph, enumerate_connected, path_graph)
@@ -16,7 +16,8 @@ from boxprime.semiring import (ADDITIVE_IDENTITY, MULTIPLICATIVE_IDENTITY,
                                instance_all_graphs, monotonicity_report,
                                self_complementary_count,
                                self_complementary_identity)
-from _oracles import multiplicative_partition_count
+from _oracles import (composite_set, count_composites, even_member_composites,
+                      multiplicative_partition_count)
 
 GRAPH_TOTALS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 GRAPH_CONNECTED = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -55,7 +56,8 @@ def test_graphs_prime_counts_build_no_graph(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("prime counting built a graph")
 
-    monkeypatch.setattr(factor, "composite_map", forbidden)
+    monkeypatch.setattr(factor, "factor_layers", forbidden)
+    monkeypatch.setattr(semiring, "factor_layers", forbidden)
     monkeypatch.setattr(semiring, "canonical_form", forbidden)
     monkeypatch.setattr(semiring, "cartesian_product", forbidden)
     inst = instance_all_graphs()
@@ -70,6 +72,27 @@ def test_even_instance_sequences(even_instance):
     # member of degree 2..8 counts as prime
     assert tuple(inst.S_box(n) for n in range(2, 9)) == EVEN_CONNECTED[1:]
     assert inst.p == 3
+    assert closure_check(inst, 8)["closed"] is True
+
+
+def test_even_primality_matches_member_products(even_instance):
+    # the prime-multiset rule against every product of two connected
+    # even-edge graphs, on the even ambient composites of orders 9 and 12
+    checked = composites = 0
+    for n in (9, 12):
+        table = even_member_composites(n)
+        for key in composite_set(n):
+            g = Graph(*key)
+            if g.edge_count % 2 == 0:
+                prime = even_instance.is_instance_prime(g)
+                assert prime == (key not in table), key
+                checked += 1
+                composites += not prime
+    assert (checked, composites) == (118, 4)
+    p3, k3 = path_graph(3), complete_graph(3)
+    assert not even_instance.is_instance_prime(cartesian_product(p3, p3))
+    # K3 has 3 edges, so K3 x K3 (18 edges) is a member but no member product
+    assert even_instance.is_instance_prime(cartesian_product(k3, k3))
 
 
 def test_hamming_instance_sequences(hamming_instance):
