@@ -12,7 +12,7 @@ Everything is computed with integers and fractions, never floats.
 from .counting import (CountSequence, SignedSequence, count_graphs_polya,
                        euler_inverse, euler_transform, graph_connected_totals,
                        graph_totals, inversion_coefficients,
-                       prime_counts_by_factorization, truncated_prime_estimate)
+                       prime_counts_by_factorization)
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import (RationalPolynomial, connected_series_polynomial,
                         expansion_error_bound, expansion_error_report,
@@ -45,7 +45,6 @@ __all__ = [
     "CountSequence", "SignedSequence", "count_graphs_polya",
     "euler_inverse", "euler_transform", "graph_connected_totals",
     "graph_totals", "inversion_coefficients", "prime_counts_by_factorization",
-    "truncated_prime_estimate",
     "RationalPolynomial", "connected_series_polynomial",
     "expansion_error_bound", "expansion_error_report",
     "expansion_partial_sum", "total_series_polynomial",

@@ -126,53 +126,65 @@ def _mobius(k: int) -> int:
     return mu
 
 
-def _partitions(n: int):
-    """Partitions of n as lists of (part, multiplicity), parts descending."""
-    if n == 0:
-        yield []
-        return
-    stack = [(n, n, [])]
-    while stack:
-        left, maxpart, prefix = stack.pop()
-        if left == 0:
-            yield prefix
-            continue
-        for p in range(min(left, maxpart), 0, -1):
-            for m in range(left // p, 0, -1):
-                stack.append((left - m * p, p - 1, prefix + [(p, m)]))
+def _cycle_index_sums(max_degree: int) -> list[int]:
+    """sums[n] = sum over cycle types of n of (n!/z) 2^e, for n <= max_degree.
+
+    One depth-first walk visits every partition of every n <= max_degree
+    once: a node is a partition with distinct parts in descending order, and
+    its children append copies of a smaller part, updating e and z by the
+    increments given in graph_totals.
+    """
+    facts = [factorial(k) for k in range(max_degree + 1)]
+    sums = [0] * (max_degree + 1)
+
+    def visit(s: int, e: int, z: int, chosen: list, top: int) -> None:
+        sums[s] += (facts[s] // z) << e
+        for p in range(min(top, max_degree - s), 0, -1):
+            # each copy of p gains cross, plus p per copy already chosen
+            cross = p // 2 + sum(mq * gcd(p, q) for q, mq in chosen)
+            m, sp, ep, zp = 0, s, e, z
+            while sp + p <= max_degree:
+                m += 1
+                sp += p
+                ep += cross + p * (m - 1)
+                zp *= p * m
+                visit(sp, ep, zp, chosen + [(p, m)], p - 1)
+
+    visit(0, 0, 1, [], max_degree)
+    return sums
 
 
 def count_graphs_polya(n: int) -> int:
-    """Number of unlabeled simple graphs of order n, by cycle-index counting.
-
-    Sums 2^(pair cycles) over permutation cycle types.  A type with m_p
-    cycles of each distinct length p fixes 2^e edge subsets, where
-    e = sum_p m_p floor(p/2) + sum_p p C(m_p, 2) + sum_{p<q} m_p m_q gcd(p, q),
-    and n!/z permutations share the type, z = prod_p p^m_p m_p!.
-    """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if n > POLYA_CAP:
-        raise CapacityError(f"cycle-index count of order {n} exceeds cap {POLYA_CAP}")
-    nf = factorial(n)
-    total = 0
-    for part in _partitions(n):
-        e = 0
-        z = 1
-        for i, (p, m) in enumerate(part):
-            e += m * (p // 2) + p * comb(m, 2)
-            e += m * sum(mq * gcd(p, q) for q, mq in part[:i])
-            z *= p ** m * factorial(m)
-        total += (1 << e) * (nf // z)
-    q, r = divmod(total, nf)
-    assert r == 0
-    return q
+    """Number of unlabeled simple graphs of order n, by cycle-index counting;
+    one term of graph_totals(n)."""
+    return graph_totals(n).at(n)
 
 
 @lru_cache(maxsize=None)
 def graph_totals(max_degree: int) -> CountSequence:
-    """All-graph counts 0..max_degree via cycle-index counting."""
-    return CountSequence.totals([count_graphs_polya(n) for n in range(max_degree + 1)])
+    """All-graph counts 0..max_degree by cycle-index counting.
+
+    Order n sums 2^e over permutation cycle types.  A type with m_p cycles
+    of each distinct length p fixes 2^e edge subsets, where
+    e = sum_p m_p floor(p/2) + sum_p p C(m_p, 2) + sum_{p<q} m_p m_q gcd(p, q),
+    and n!/z permutations share the type, z = prod_p p^m_p m_p!.  Adding
+    the m-th cycle of length p to a type raises e by
+    floor(p/2) + p (m-1) + sum_q m_q gcd(p, q) over the other lengths q and
+    multiplies z by p m, so one walk over the types of every order at once
+    updates e and z instead of recomputing them (_cycle_index_sums).
+    """
+    if max_degree < 0:
+        raise DomainError("order must be nonnegative")
+    if max_degree > POLYA_CAP:
+        raise CapacityError(
+            f"cycle-index count of order {max_degree} exceeds cap {POLYA_CAP}")
+    sums = _cycle_index_sums(max_degree)
+    values = []
+    for n, total in enumerate(sums):
+        q, r = divmod(total, factorial(n))
+        assert r == 0
+        values.append(q)
+    return CountSequence.totals(values)
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +306,3 @@ def inversion_coefficients(totals: CountSequence, max_degree: int) -> SignedSequ
     for n in range(1, max_degree + 1):
         b[n] = -totals.at(n) - sum(b[s] * totals.at(n - s) for s in range(1, n))
     return SignedSequence(tuple(b[1:]), 1)
-
-
-def truncated_prime_estimate(totals: CountSequence, coeffs: SignedSequence,
-                             n: int, order: int) -> int:
-    """S(n) + sum_{s=1}^{order-1} B(s) S(n-s), the truncated prime-count estimate.
-
-    With order = n the sum telescopes to -B(n) by the recurrence defining B.
-    """
-    if order < 2:
-        raise DomainError("truncation order must be at least 2")
-    return totals.at(n) + sum(coeffs.at(s) * totals.at(n - s) for s in range(1, order))

@@ -248,7 +248,12 @@ def _is_even_prime(g: Graph) -> bool:
     |E(G box H)| = |V(G)||E(H)| + |V(H)||E(G)|, so by unique factorization
     g is a product of two members exactly when its prime factors split into
     two nonempty parts whose products both have an even number of edges.
+    Both parts are connected members of order at least 3, since the one-edge
+    graph is no member, so g is prime without factoring unless its order has
+    a divisor a with 3 <= a <= n/3.
     """
+    if all(g.n % a for a in range(3, g.n // 3 + 1)):
+        return True
     primes = [(f.n, f.edge_count) for f in factor_layers(g)]
     first, rest = primes[0], primes[1:]
     # every split into two nonempty parts, the first prime on the left

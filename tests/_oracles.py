@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from boxprime.errors import CapacityError, DomainError
 from boxprime.functions import evaluate
@@ -100,6 +100,26 @@ def _partitions(m: int, largest: int):
     for part in range(min(m, largest), 0, -1):
         for rest in _partitions(m - part, part):
             yield (part,) + rest
+
+
+def count_graphs_by_cycle_types(n: int) -> int:
+    """Unlabeled graphs of order n by the cycle-index sum, recomputing the
+    pair-orbit exponent e and centralizer order z for each cycle type of n
+    from scratch: (1/n!) sum over types of (n!/z) 2^e."""
+    nf = factorial(n)
+    total = 0
+    for parts in _partitions(n, n):
+        part = list(Counter(parts).items())
+        e = 0
+        z = 1
+        for i, (p, m) in enumerate(part):
+            e += m * (p // 2) + p * comb(m, 2)
+            e += m * sum(mq * gcd(p, q) for q, mq in part[:i])
+            z *= p ** m * factorial(m)
+        total += (1 << e) * (nf // z)
+    q, r = divmod(total, nf)
+    assert r == 0
+    return q
 
 
 def multiplicative_stats_by_patterns(rule, primes_at, n: int) -> tuple:

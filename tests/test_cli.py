@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from boxprime import cli
+from boxprime import cli, counting
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (cartesian_product, complete_graph,
                              disjoint_union, path_graph)
@@ -201,6 +201,16 @@ def test_enum_cap_ceiling_is_checked_before_any_instance(monkeypatch, capsys):
     assert cli.main(["census", "--n", "2", "--enum-cap", str(limit + 1)]) == 2
     assert capsys.readouterr().err.startswith("capacity: --enum-cap")
     assert cli.main(["factor", "A_", "--enum-cap", str(limit + 1)]) == 2
+
+
+def test_wright_cycle_index_cap_is_checked_before_the_walk(monkeypatch,
+                                                          capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cycle-index walk started")
+
+    monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
+    assert cli.main(["wright", "--R", "1", "--n", "9..33"]) == 2
+    assert capsys.readouterr().err.startswith("capacity: cycle-index")
 
 
 def test_degree_range_is_lazy():

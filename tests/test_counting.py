@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from boxprime.counting import (CountSequence, SignedSequence,
+from boxprime import counting
+from boxprime.counting import (POLYA_CAP, CountSequence, SignedSequence,
                                count_graphs_polya, euler_inverse,
                                euler_transform, graph_connected_totals,
                                graph_totals, inversion_coefficients,
-                               prime_counts_by_factorization,
-                               truncated_prime_estimate)
+                               prime_counts_by_factorization)
 from boxprime.errors import CapacityError, DomainError
 from boxprime.graphs import enumerate_connected, enumerate_graphs
 from _oracles import (composite_count_by_multisets,
+                      count_graphs_by_cycle_types,
                       multiplicative_partition_count)
 
 TOTALS_THROUGH_12 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668,
@@ -29,9 +30,32 @@ def test_polya_counts_regression():
     assert tuple(graph_totals(12).values) == TOTALS_THROUGH_12
 
 
-def test_polya_cap():
+def test_polya_totals_match_cycle_type_oracle():
+    totals = graph_totals(POLYA_CAP)
+    for n in range(POLYA_CAP + 1):
+        assert totals.at(n) == count_graphs_by_cycle_types(n), n
+
+
+def test_polya_totals_are_prefixes_of_the_largest_window():
+    full = graph_totals(POLYA_CAP).values
+    for k in range(POLYA_CAP + 1):
+        assert graph_totals(k).values == full[:k + 1], k
+
+
+def test_polya_cap(monkeypatch):
+    # the order is checked before the cycle-index walk starts
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cycle-index walk started")
+
+    monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
     with pytest.raises(CapacityError):
-        count_graphs_polya(33)
+        graph_totals(POLYA_CAP + 1)
+    with pytest.raises(CapacityError):
+        count_graphs_polya(POLYA_CAP + 1)
+    with pytest.raises(DomainError):
+        graph_totals(-1)
+    with pytest.raises(DomainError):
+        count_graphs_polya(-1)
 
 
 def test_connected_totals_match_enumeration():
@@ -120,27 +144,6 @@ def test_inversion_coefficients_reciprocal_identity():
         acc = totals.at(n) + sum(b.at(s) * totals.at(n - s)
                                  for s in range(1, n + 1))
         assert acc == 0
-
-
-def test_truncated_estimate_known_values():
-    totals = graph_totals(8)
-    b = inversion_coefficients(totals, 8)
-    assert truncated_prime_estimate(totals, b, 4, 2) == 7
-    assert truncated_prime_estimate(totals, b, 8, 2) == 11302
-
-
-def test_truncated_estimate_telescopes_to_reciprocal_coefficient():
-    totals = graph_totals(10)
-    b = inversion_coefficients(totals, 10)
-    for n in range(3, 11):
-        assert truncated_prime_estimate(totals, b, n, n) == -b.at(n)
-
-
-def test_truncated_estimate_rejects_tiny_order():
-    totals = graph_totals(4)
-    b = inversion_coefficients(totals, 4)
-    with pytest.raises(DomainError):
-        truncated_prime_estimate(totals, b, 4, 1)
 
 
 def test_count_sequence_access_conventions():

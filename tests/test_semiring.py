@@ -95,6 +95,17 @@ def test_even_primality_matches_member_products(even_instance):
     assert even_instance.is_instance_prime(cartesian_product(k3, k3))
 
 
+def test_even_primes_below_order_9_need_no_factorization(monkeypatch):
+    # a member product needs two members of order >= 3, so no order 1..8
+    # has one and every connected member there is prime without factoring
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an even member was factorized")
+
+    monkeypatch.setattr(semiring, "factor_layers", forbidden)
+    inst = semiring.instance_even_edge()
+    assert tuple(inst.S_box(n) for n in range(1, 9)) == (0,) + EVEN_CONNECTED[1:]
+
+
 def test_hamming_instance_sequences(hamming_instance):
     inst = hamming_instance
     for n in range(1, 31):
