@@ -23,10 +23,10 @@ from .functions import (coprime_count, divisor_count, divisor_sum, evaluate,
                         exponent_product, population_stats,
                         submultiplicativity_check, unitary_divisor_count)
 from .graph6 import encode_graph6, parse_graph6
-from .graphs import (Graph, are_isomorphic, canonical_form, canonical_key,
-                     cartesian_product, complete_graph, cycle_graph,
-                     disjoint_union, empty_graph, enumerate_connected,
-                     enumerate_graphs, is_connected, path_graph, star_graph)
+from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
+                     complete_graph, cycle_graph, disjoint_union, empty_graph,
+                     enumerate_connected, enumerate_graphs, is_connected,
+                     path_graph, star_graph)
 from .semiring import (SemiringElement, SemiringInstance, build_instance,
                        closure_check, hamming_degree, hamming_polynomial,
                        instance_all_graphs, instance_even_edge,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxprimeError", "CapacityError", "DomainError", "ParseError",
-    "Graph", "are_isomorphic", "canonical_form", "canonical_key",
+    "Graph", "canonical_form", "canonical_key",
     "cartesian_product", "complete_graph", "cycle_graph", "disjoint_union",
     "empty_graph", "enumerate_connected", "enumerate_graphs", "is_connected",
     "path_graph", "star_graph",

@@ -28,8 +28,8 @@ from .bounds import (additive_gap_sandwich, cut_bound,
 from .counting import graph_connected_totals, graph_totals, inversion_coefficients
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
-from .factor import factorize
-from .graph6 import encode_graph6, parse_graph6
+from .factor import check_order, factorize
+from .graph6 import encode_graph6, graph6_order, parse_graph6
 from .graphs import DEFAULT_ENUM_CAP
 from .functions import REGISTRY, population_stats
 from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
@@ -101,6 +101,8 @@ def _report_error(exc: BoxprimeError, where: str = "") -> int:
 
 
 def _factor_line(text: str) -> str:
+    # the header alone gives the order, so an oversized body is never decoded
+    check_order(graph6_order(text))
     g = parse_graph6(text)
     if g.n == 1:
         return f"{text}: UNIT"

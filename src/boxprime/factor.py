@@ -3,11 +3,14 @@
 Connected graphs factor uniquely into primes under the cartesian product,
 with the one-vertex graph as the unit.  The factors are read off the
 labelled graph by Feder's product relation: the equivalence classes of
-(Theta u tau)* on the edges are the classes of the product relation, so
+(Theta_T u tau)* on the edges are the classes of the product relation, so
 each class spans the layers of one prime factor (Feder, "Product graph
 representations", J. Graph Theory 1992; Imrich and Klavzar, Product
-Graphs, 2000).  Theta is the Djokovic-Winkler distance relation; tau joins
-two edges that meet at a vertex but lie on no common chordless square.
+Graphs, 2000).  Theta is the Djokovic-Winkler distance relation, and
+Theta_T relates each edge of a spanning tree T to the edges in Theta with
+it; here T is the breadth-first tree at vertex 0, so Theta is computed for
+n - 1 edges instead of all of them.  tau joins two edges that meet at a
+vertex but lie on no common chordless square.
 """
 
 from __future__ import annotations
@@ -43,8 +46,11 @@ def _distance_layers(rows) -> list[list[int]]:
         layers = [frontier]
         while True:
             reach = 0
-            for v in _bits_of(frontier):
-                reach |= rows[v]
+            left = frontier
+            while left:
+                low = left & -left
+                left ^= low
+                reach |= rows[low.bit_length() - 1]
             frontier = reach & ~seen
             if not frontier:
                 break
@@ -55,7 +61,8 @@ def _distance_layers(rows) -> list[list[int]]:
 
 
 def _layer_masks(g: Graph) -> list[int]:
-    """Vertex masks of the layers through vertex 0, one per prime factor.
+    """Vertex masks of the layers through vertex 0, one per prime factor,
+    ordered by the smallest neighbour of vertex 0 that each contains.
 
     A single mask (all vertices) means g is prime.  g must be connected
     with at least two vertices and at most ORDER_LIMIT.
@@ -99,37 +106,51 @@ def _layer_masks(g: Graph) -> list[int]:
                     if join(eid[x * n + u], eid[x * n + v]):
                         return [full]
 
-    # Theta: xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y); the three
-    # values -1, 0, 1 split the vertices, and uv joins every crossing edge
+    # Theta from the edges of the breadth-first tree at vertex 0 only: each
+    # vertex at distance k + 1 hangs on its smallest neighbour at distance k.
+    # xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y); the three values
+    # -1, 0, 1 split the vertices, and uv joins every crossing edge
     layers = _distance_layers(rows)
-    for e, (u, v) in enumerate(edges):
-        lu, lv = layers[u], layers[v]
-        near_u = near_v = 0
-        for a, b in zip(lu, lv[1:]):
-            near_u |= a & b
-        for a, b in zip(lv, lu[1:]):
-            near_v |= a & b
-        middle = full ^ near_u ^ near_v
-        root = find(e)
-        # crossing edges leave the vertices nearer u, or join the
-        # equidistant vertices to those nearer v
-        for side, across in ((near_u, ~near_u), (middle, near_v)):
-            for x in _bits_of(side):
-                base = x * n
-                cross = rows[x] & across
-                while cross:
-                    low = cross & -cross
-                    cross ^= low
-                    other = find(eid[base + low.bit_length() - 1])
-                    if other != root:
-                        parent[other] = root
-                        classes -= 1
-        if classes == 1:
-            return [full]
+    for above, level in zip(layers[0], layers[0][1:]):
+        for v in _bits_of(level):
+            up = rows[v] & above
+            u = (up & -up).bit_length() - 1
+            lu, lv = layers[u], layers[v]
+            near_u = near_v = 0
+            for a, b in zip(lu, lv[1:]):
+                near_u |= a & b
+            for a, b in zip(lv, lu[1:]):
+                near_v |= a & b
+            middle = full ^ near_u ^ near_v
+            root = find(eid[u * n + v])
+            # crossing edges leave the vertices nearer u, or join the
+            # equidistant vertices to those nearer v
+            for side, across in ((near_u, ~near_u), (middle, near_v)):
+                while side:
+                    low = side & -side
+                    side ^= low
+                    x = low.bit_length() - 1
+                    base = x * n
+                    cross = rows[x] & across
+                    while cross:
+                        low = cross & -cross
+                        cross ^= low
+                        other = find(eid[base + low.bit_length() - 1])
+                        if other != root:
+                            parent[other] = root
+                            classes -= 1
+            if classes == 1:
+                return [full]
 
-    # the layer of each class through vertex 0
+    # the layer of each class through vertex 0, ordered by the smallest
+    # neighbour of vertex 0 in it
     out = []
-    for root in sorted({find(eid[v]) for v in _bits_of(rows[0])}):
+    roots = []
+    for w in _bits_of(rows[0]):
+        root = find(eid[w])
+        if root in roots:
+            continue
+        roots.append(root)
         class_rows = [0] * n
         for e, (u, v) in enumerate(edges):
             if find(e) == root:
@@ -146,18 +167,24 @@ def _layer_masks(g: Graph) -> list[int]:
     return out
 
 
+def check_order(n: int) -> None:
+    """Refuse a factorization of order above ORDER_LIMIT."""
+    if n > ORDER_LIMIT:
+        raise CapacityError(
+            f"factorization of order {n} exceeds the limit {ORDER_LIMIT}")
+
+
 @lru_cache(maxsize=1 << 16)
 def factor_layers(g: Graph) -> tuple[Graph, ...]:
     """The prime factors of a connected graph as its layers through vertex 0.
 
     Each layer is an induced subgraph relabelled in increasing vertex
     order, isomorphic to its factor but not canonical; the unit gives an
-    empty tuple.  Orders above ORDER_LIMIT are refused before any work.
-    Results are memoized per labelled graph.
+    empty tuple.  The layers are ordered by the smallest neighbour of
+    vertex 0 that each contains.  Orders above ORDER_LIMIT are refused
+    before any work.  Results are memoized per labelled graph.
     """
-    if g.n > ORDER_LIMIT:
-        raise CapacityError(
-            f"factorization of order {g.n} exceeds the limit {ORDER_LIMIT}")
+    check_order(g.n)
     if not is_connected(g):
         raise DomainError("factorization is defined for connected graphs only")
     if g.n == 1:

@@ -9,10 +9,12 @@ n <= 62, or '~' followed by three characters for n up to 258047.
 from __future__ import annotations
 
 from .errors import CapacityError, ParseError
-from .graphs import Graph, _pair_count, pair_bit
+from .graphs import Graph, _graph_from_rows, _mirror, _pair_count
 
 GRAPH6_MAX_ORDER = 258047
 _PREFIX = ">>graph6<<"
+# each body character to its six bits; any other character stays one long
+_SIXBITS = str.maketrans({chr(v + 63): format(v, "06b") for v in range(64)})
 
 
 def _column_major_bits(g: Graph) -> list[int]:
@@ -69,31 +71,42 @@ def _read_order(text: str) -> tuple[int, int]:
     return n, 4
 
 
-def parse_graph6(text: str) -> Graph:
-    """Graph from a graph6 string; the standard '>>graph6<<' prefix is allowed."""
+def _strip(text: str) -> str:
     if text.startswith(_PREFIX):
         text = text[len(_PREFIX):]
-    text = text.strip()
-    n, start = _read_order(text)
+    return text.strip()
+
+
+def graph6_order(text: str) -> int:
+    """Order of a graph6 string, read from its header alone."""
+    return _read_order(_strip(text))[0]
+
+
+def _decode_body(body: str, n: int) -> Graph:
+    """Graph of order n from its graph6 body, in one pass over the bits."""
     m = _pair_count(n)
     groups = -(-m // 6)
-    body = text[start:]
     if len(body) != groups:
         raise ParseError(
             f"graph6 body for order {n} needs {groups} characters, got {len(body)}")
-    bits = []
-    for ch in body:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise ParseError(f"invalid graph6 body byte {ord(ch)}")
-        bits.extend((v >> s) & 1 for s in range(5, -1, -1))
-    if any(bits[m:]):
+    bits = body.translate(_SIXBITS)
+    if len(bits) != 6 * groups:
+        bad = next(ch for ch in body if not 63 <= ord(ch) <= 126)
+        raise ParseError(f"invalid graph6 body byte {ord(bad)}")
+    if "1" in bits[m:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    packed = 0
-    k = 0
+    lower = [0] * n
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                packed |= pair_bit(i, j, n)
-            k += 1
-    return Graph(n, packed)
+        column = bits[start:start + j]
+        start += j
+        if "1" in column:
+            lower[j] = int(column[::-1], 2)
+    return _graph_from_rows(n, _mirror(lower))
+
+
+def parse_graph6(text: str) -> Graph:
+    """Graph from a graph6 string; the standard '>>graph6<<' prefix is allowed."""
+    text = _strip(text)
+    n, start = _read_order(text)
+    return _decode_body(text[start:], n)

@@ -60,16 +60,15 @@ class Graph:
     def rows(self) -> tuple[int, ...]:
         """Neighbor bitmask for each vertex."""
         n = self.n
-        masks = [0] * n
-        bits = self.bits
-        pos = _pair_count(n) - 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (bits >> pos) & 1:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-                pos -= 1
-        return tuple(masks)
+        text = format(self.bits, f"0{_pair_count(n)}b")
+        upper = [0] * n
+        start = 0
+        # row i's pairs (i, i+1) .. (i, n-1) are one run of the bit string
+        for i in range(n - 1):
+            end = start + n - 1 - i
+            upper[i] = int(text[start:end][::-1], 2) << (i + 1)
+            start = end
+        return _mirror(upper)
 
     @property
     def edge_count(self) -> int:
@@ -92,6 +91,34 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((m.bit_count() for m in self.rows), reverse=True))
+
+
+def _mirror(half) -> tuple[int, ...]:
+    """Full neighbor rows from rows that hold each edge at one end only."""
+    rows = list(half)
+    for i, mask in enumerate(half):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            rows[low.bit_length() - 1] |= bit
+    return tuple(rows)
+
+
+def _pack_rows(n: int, rows) -> int:
+    """Packed edge vector of the graph with the given neighbor rows."""
+    if n < 2:
+        return 0
+    return int("".join(format(rows[i] >> (i + 1), f"0{n - 1 - i}b")[::-1]
+                       for i in range(n - 1)), 2)
+
+
+def _graph_from_rows(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph with the given neighbor rows, which it keeps instead of
+    decoding them again from the packed vector."""
+    g = Graph(n, _pack_rows(n, rows))
+    g.__dict__["rows"] = rows
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -205,24 +232,23 @@ def _component_masks(g: Graph) -> list[int]:
 
 def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
     """Subgraph on the masked vertices, relabeled in increasing order."""
-    verts = []
+    rows = g.rows
+    index = {}
     m = vertex_mask
     while m:
         low = m & -m
         m ^= low
-        verts.append(low.bit_length() - 1)
-    index = {v: k for k, v in enumerate(verts)}
-    rows = g.rows
-    edges = []
-    for k, v in enumerate(verts):
+        index[low.bit_length() - 1] = len(index)
+    sub = []
+    for v in index:
         nb = rows[v] & vertex_mask
+        row = 0
         while nb:
             low = nb & -nb
             nb ^= low
-            w = low.bit_length() - 1
-            if w > v:
-                edges.append((k, index[w]))
-    return from_edges(len(verts), edges)
+            row |= 1 << index[low.bit_length() - 1]
+        sub.append(row)
+    return _graph_from_rows(len(sub), tuple(sub))
 
 
 def connected_components(g: Graph) -> tuple[Graph, ...]:
@@ -323,14 +349,6 @@ def canonical_key(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[int, int]:
     """(n, canonical bits); equal keys hold exactly for isomorphic graphs."""
     c = canonical_form(g, cap)
     return (c.n, c.bits)
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    return canonical_form(g1).bits == canonical_form(g2).bits
 
 
 _ENUM_LOCK = threading.Lock()

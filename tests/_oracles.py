@@ -16,7 +16,8 @@ from boxprime.errors import CapacityError, DomainError
 from boxprime.functions import evaluate
 from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
                              canonical_key, cartesian_product,
-                             enumerate_connected, is_connected, relabel)
+                             enumerate_connected, from_edges, is_connected,
+                             relabel)
 
 
 def exhaustive_minimum_bits(g: Graph) -> int:
@@ -254,3 +255,87 @@ def even_member_composites(n: int) -> frozenset:
             for g2 in rights:
                 keys.add(canonical_key(cartesian_product(g1, g2)))
     return frozenset(keys)
+
+
+def _distances_by_bfs(rows) -> list[list[int]]:
+    """All-pairs distances of a connected graph, one BFS per vertex."""
+    n = len(rows)
+    out = []
+    for u in range(n):
+        dist = [-1] * n
+        dist[u] = 0
+        queue = [u]
+        for x in queue:
+            for y in range(n):
+                if (rows[x] >> y) & 1 and dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        out.append(dist)
+    return out
+
+
+def layer_masks_full_theta(g: Graph) -> set[int]:
+    """Vertex masks of the layers through vertex 0 under (Theta u tau)*,
+    with the Djokovic-Winkler relation Theta taken over every edge.
+
+    No prime-order shortcut: the classes are computed for every order, and
+    one mask holding all vertices means g is prime.
+    """
+    n = g.n
+    rows = g.rows
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (rows[u] >> v) & 1]
+    eid = {}
+    for e, (u, v) in enumerate(edges):
+        eid[u, v] = eid[v, u] = e
+    parent = list(range(len(edges)))
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    def join(e: int, f: int) -> None:
+        parent[find(f)] = find(e)
+
+    # tau: edges xu, xv with u ~ v, or with no w ~ u, v outside N[x]
+    for x in range(n):
+        closed = rows[x] | (1 << x)
+        nbrs = [u for u in range(n) if (rows[x] >> u) & 1]
+        for i, u in enumerate(nbrs):
+            for v in nbrs[i + 1:]:
+                if (rows[u] >> v) & 1 or not (rows[u] & rows[v] & ~closed):
+                    join(eid[x, u], eid[x, v])
+
+    # Theta: uv Theta xy iff d(u,x) + d(v,y) != d(u,y) + d(v,x), for every
+    # edge uv; the vertices nearer u, nearer v and equidistant are split,
+    # and uv is related to each edge crossing the split
+    dist = _distances_by_bfs(rows)
+    for e, (u, v) in enumerate(edges):
+        side = [(dist[u][x] > dist[v][x]) - (dist[u][x] < dist[v][x])
+                for x in range(n)]
+        for f, (x, y) in enumerate(edges):
+            if side[x] != side[y]:
+                join(e, f)
+
+    out = set()
+    for root in {find(eid[0, v]) for v in range(1, n) if (rows[0] >> v) & 1}:
+        seen = {0}
+        queue = [0]
+        for x in queue:
+            for y in range(n):
+                if (rows[x] >> y) & 1 and y not in seen \
+                        and find(eid[x, y]) == root:
+                    seen.add(y)
+                    queue.append(y)
+        out.add(sum(1 << y for y in seen))
+    return out
+
+
+def induced_subgraph_by_edges(g: Graph, vertex_mask: int) -> Graph:
+    """Subgraph on the masked vertices, relabelled in increasing order,
+    built edge by edge from the packed vector."""
+    verts = [v for v in range(g.n) if (vertex_mask >> v) & 1]
+    return from_edges(len(verts), [(a, b) for a in range(len(verts))
+                                   for b in range(a + 1, len(verts))
+                                   if g.has_edge(verts[a], verts[b])])

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from boxprime import cli, counting
+from boxprime import cli, counting, graph6
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (cartesian_product, complete_graph,
                              disjoint_union, path_graph)
@@ -211,6 +212,22 @@ def test_wright_cycle_index_cap_is_checked_before_the_walk(monkeypatch,
     monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
     assert cli.main(["wright", "--R", "1", "--n", "9..33"]) == 2
     assert capsys.readouterr().err.startswith("capacity: cycle-index")
+
+
+def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the graph6 body was decoded")
+
+    monkeypatch.setattr(graph6, "_decode_body", forbidden)
+    monkeypatch.setattr(cli, "parse_graph6", forbidden)
+    # an edgeless order-3000 graph: a long-form header, then C(3000, 2)
+    # zero bits in 749750 six-bit characters
+    text = "~?mw" + "?" * 749750
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{text}\n"))
+    assert cli.main(["factor"]) == 2
+    assert capsys.readouterr().err == (
+        "capacity: line 1: factorization of order 3000 exceeds the limit "
+        "256\n")
 
 
 def test_degree_range_is_lazy():

@@ -13,7 +13,7 @@ from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              from_edges, path_graph, relabel, star_graph)
 from _oracles import (composite_count_by_multisets, composite_map,
                       composite_set, count_composites, count_primes,
-                      factorize_by_table)
+                      factorize_by_table, layer_masks_full_theta)
 
 PRIME_COUNTS = {2: 1, 3: 2, 4: 5, 5: 21, 6: 110, 7: 853, 8: 11111}
 
@@ -204,3 +204,54 @@ def test_order_limit_is_checked_before_any_work(monkeypatch):
     with pytest.raises(CapacityError):
         is_cartesian_prime(big)
 
+
+
+def test_tree_theta_matches_full_theta_on_every_small_graph():
+    for n in range(2, 9):
+        for g in enumerate_connected(n):
+            assert set(factor._layer_masks(g)) == layer_masks_full_theta(g), \
+                (n, g.bits)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tree_theta_matches_full_theta_on_products_and_random_graphs(seed):
+    rng = random.Random(1000 + seed)
+    # a product of two or three random connected factors, order <= 64
+    g = _random_connected(rng, rng.randint(2, 8))
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(2, min(4, 64 // g.n))
+        g = cartesian_product(g, _random_connected(rng, k), cap=64)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    for h in (relabel(g, perm), _random_connected(rng, rng.randint(9, 64))):
+        assert set(factor._layer_masks(h)) == layer_masks_full_theta(h)
+
+
+def test_tree_theta_matches_full_theta_on_the_eight_cube():
+    cube = K2
+    for _ in range(7):
+        cube = cartesian_product(cube, K2, cap=ORDER_LIMIT)
+    masks = factor._layer_masks(cube)
+    assert len(masks) == 8
+    assert set(masks) == layer_masks_full_theta(cube)
+
+
+def test_factor_layers_follow_the_smallest_neighbour_of_vertex_zero():
+    p5 = from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 4),
+                        (3, 4)])
+    g = cartesian_product(cartesian_product(p5, K2), K3, cap=30)
+    perm = [23, 8, 17, 11, 26, 5, 2, 0, 24, 1, 13, 9, 25, 19, 6, 15, 29, 12,
+            20, 27, 28, 10, 3, 4, 7, 14, 21, 18, 16, 22]
+    h = relabel(g, perm)
+    # vertex 0 has neighbours 2, 24 in its K3 layer, 8, 19, 27 in its p5
+    # layer and 13 in its K2 layer; chosen so that ordering the classes
+    # by union-find root gives K3, K2, p5 instead
+    assert factor._layer_masks(h) == [(1 << 0) | (1 << 2) | (1 << 24),
+                                      (1 << 0) | (1 << 8) | (1 << 14)
+                                      | (1 << 19) | (1 << 27),
+                                      (1 << 0) | (1 << 13)]
+    assert factor_layers(h) == (
+        K3,
+        from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3),
+                       (2, 4)]),
+        K2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +36,20 @@ def test_round_trip_exhaustive_small():
 @given(graphs())
 def test_round_trip_random(g):
     assert parse_graph6(encode_graph6(g)) == g
+
+
+@given(graphs(max_n=16))
+def test_parsed_rows_match_the_packed_vector(g):
+    assert parse_graph6(encode_graph6(g)).rows == Graph(g.n, g.bits).rows
+
+
+@given(st.integers(63, 90), st.integers(0, 1 << 64))
+def test_long_form_rows_match_the_packed_vector(n, seed):
+    rng = random.Random(seed)
+    g = Graph(n, rng.getrandbits(n * (n - 1) // 2))
+    parsed = parse_graph6(encode_graph6(g))
+    assert parsed == g
+    assert parsed.rows == Graph(n, g.bits).rows
 
 
 @given(st.integers(2, 8), st.integers(0, 1 << 28))
