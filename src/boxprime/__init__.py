@@ -27,8 +27,7 @@ from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
                      complete_graph, cycle_graph, disjoint_union, empty_graph,
                      enumerate_connected, enumerate_graphs, is_connected,
                      path_graph, star_graph)
-from .semiring import (SemiringElement, SemiringInstance, build_instance,
-                       closure_check, hamming_degree, hamming_polynomial,
+from .semiring import (SemiringInstance, build_instance, closure_check,
                        instance_all_graphs, instance_even_edge,
                        instance_hamming, monotonicity_report,
                        self_complementary_count, self_complementary_identity)
@@ -50,9 +49,9 @@ __all__ = [
     "expansion_partial_sum", "total_series_polynomial",
     "divisors", "factor_layers", "factorize", "is_cartesian_prime",
     "product_of",
-    "SemiringElement", "SemiringInstance", "build_instance", "closure_check",
-    "hamming_degree", "hamming_polynomial", "instance_all_graphs",
-    "instance_even_edge", "instance_hamming", "monotonicity_report",
+    "SemiringInstance", "build_instance", "closure_check",
+    "instance_all_graphs", "instance_even_edge", "instance_hamming",
+    "monotonicity_report",
     "self_complementary_count", "self_complementary_identity",
     "coprime_count", "divisor_count", "divisor_sum", "evaluate",
     "exponent_product", "population_stats", "submultiplicativity_check",

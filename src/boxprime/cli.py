@@ -131,7 +131,7 @@ def cmd_factor(args) -> int:
         except BoxprimeError as exc:
             code = _report_error(exc, f"{where}: ")
             status = status or code
-    write_text("\n".join(lines) + "\n", args.out)
+    write_text("".join(line + "\n" for line in lines), args.out)
     return status
 
 
@@ -218,11 +218,12 @@ def cmd_semiring(args) -> int:
     return 0
 
 
-def _add_output_flags(sub) -> None:
+def _add_output_flags(sub, enum_cap: bool = True) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
-    sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
-                     help="enumeration order limit")
+    if enum_cap:
+        sub.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
+                         help="enumeration order limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     factor.add_argument("graphs", nargs="*",
                         help="graph6 strings; stdin lines when omitted")
     factor.add_argument("--out", default=None)
-    factor.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     factor.set_defaults(func=cmd_factor)
 
     wright = subs.add_parser("wright",
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     wright.add_argument("--R", type=int, required=True,
                         help="truncation order")
     wright.add_argument("--n", required=True, help="degree N or range A..B")
-    _add_output_flags(wright)
+    _add_output_flags(wright, enum_cap=False)
     wright.set_defaults(func=cmd_wright)
 
     bounds = subs.add_parser("bounds",
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.enum_cap > ENUM_CAP_CEILING:
+        if getattr(args, "enum_cap", 0) > ENUM_CAP_CEILING:
             raise CapacityError(f"--enum-cap {args.enum_cap} exceeds the "
                                 f"ceiling {ENUM_CAP_CEILING}")
         return args.func(args)

@@ -258,46 +258,3 @@ def submultiplicativity_check(name: str, n_max: int,
                             "f_split": split,
                         })
     return violations
-
-
-def _population_sums(name: str, inst: SemiringInstance, n: int) -> tuple:
-    """Sums of a function over the connected members and over the primes
-    of degree n; an enumerated population is walked once."""
-    if _rule(name) is not None and inst.unique_factorization:
-        return (population_stats(name, inst, n, "add")["sum"],
-                population_stats(name, inst, n, "mult")["sum"])
-    f_plus = f_box = 0
-    for h in inst.connected_members(n):
-        value = evaluate(name, h, inst)
-        f_plus += value
-        if inst.is_instance_prime(h):
-            f_box += value
-    return f_plus, f_box
-
-
-def function_gap_report(name: str, inst: SemiringInstance,
-                        orders) -> list[dict]:
-    """Per-degree totals of a function over connected members versus primes.
-
-    Columns: the two totals, their gap, the disconnected count
-    S(n) - S_plus(n) it is compared against, the exact ratio (None when the
-    comparison count is 0), and the two population means.
-    """
-    rows = []
-    for n in orders:
-        f_plus, f_box = _population_sums(name, inst, n)
-        gap = f_plus - f_box
-        against = inst.S(n) - inst.S_plus(n)
-        s_plus = inst.S_plus(n)
-        s_box = inst.S_box(n)
-        rows.append({
-            "n": n,
-            "f_plus": f_plus,
-            "f_box": f_box,
-            "gap": gap,
-            "disconnected": against,
-            "ratio": Fraction(gap, against) if against else None,
-            "mean_add": Fraction(f_plus, s_plus) if s_plus else None,
-            "mean_mult": Fraction(f_box, s_box) if s_box else None,
-        })
-    return rows

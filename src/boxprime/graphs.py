@@ -6,16 +6,12 @@ at the most significant position.  Integer comparison of two packed vectors
 then agrees with lexicographic comparison of the bit strings, and the
 canonical form of a graph is the isomorph whose packed vector is minimal
 over all vertex relabelings.
-
-Module-level enumeration caches are guarded by a lock; results are
-deterministic (sorted by canonical key) regardless of caller threading.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .errors import CapacityError, DomainError
 
@@ -351,34 +347,29 @@ def canonical_key(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[int, int]:
     return (c.n, c.bits)
 
 
-_ENUM_LOCK = threading.Lock()
-_ENUM_ALL: dict[int, tuple[Graph, ...]] = {}
-_ENUM_CONNECTED: dict[int, tuple[Graph, ...]] = {}
-
-
-def _enumerate_locked(n: int) -> tuple[Graph, ...]:
-    if n in _ENUM_ALL:
-        return _ENUM_ALL[n]
+@cache
+def _enumerate(n: int) -> tuple[Graph, ...]:
     if n == 0:
-        out = (Graph(0, 0),)
-    else:
-        parents = _enumerate_locked(n - 1)
-        topbit = 1 << (n - 1)
-        seen = set()
-        for parent in parents:
-            prows = parent.rows
-            for s in range(1 << (n - 1)):
-                rows = list(prows)
-                rows.append(s)
-                t = s
-                while t:
-                    low = t & -t
-                    t ^= low
-                    rows[low.bit_length() - 1] |= topbit
-                seen.add(_canonical_bits(n, rows))
-        out = tuple(Graph(n, b) for b in sorted(seen))
-    _ENUM_ALL[n] = out
-    return out
+        return (Graph(0, 0),)
+    topbit = 1 << (n - 1)
+    seen = set()
+    for parent in _enumerate(n - 1):
+        prows = parent.rows
+        for s in range(1 << (n - 1)):
+            rows = list(prows)
+            rows.append(s)
+            t = s
+            while t:
+                low = t & -t
+                t ^= low
+                rows[low.bit_length() - 1] |= topbit
+            seen.add(_canonical_bits(n, rows))
+    return tuple(Graph(n, b) for b in sorted(seen))
+
+
+@cache
+def _enumerate_connected(n: int) -> tuple[Graph, ...]:
+    return tuple(g for g in _enumerate(n) if is_connected(g))
 
 
 def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
@@ -392,8 +383,7 @@ def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
         raise DomainError("order must be nonnegative")
     if n > cap:
         raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")
-    with _ENUM_LOCK:
-        return _enumerate_locked(n)
+    return _enumerate(n)
 
 
 def enumerate_connected(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
@@ -402,7 +392,4 @@ def enumerate_connected(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...
         raise DomainError("connected enumeration needs order >= 1")
     if n > cap:
         raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")
-    with _ENUM_LOCK:
-        if n not in _ENUM_CONNECTED:
-            _ENUM_CONNECTED[n] = tuple(g for g in _enumerate_locked(n) if is_connected(g))
-        return _ENUM_CONNECTED[n]
+    return _enumerate_connected(n)

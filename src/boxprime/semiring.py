@@ -1,16 +1,18 @@
 """Graph families as semirings: count sequences, membership, and diagnostics.
 
-A family instance bundles three exact count sequences (all members, connected
-members, multiplicative primes) with membership and enumeration, behind
-horizons that keep every value exactly computable.  Three instances are
+A family instance is data, in the manner of an arithmetical semigroup: three
+exact count sequences by degree (all members, connected members,
+multiplicative primes), a membership rule and an instance-prime rule, and the
+horizons up to which every value is exactly computable.  Three instances are
 provided: all graphs, graphs with an even number of edges, and the family
 generated by complete graphs under disjoint union and cartesian product.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import comb
 
 from .counting import (CountSequence, _as_integer, count_graphs_polya,
@@ -18,62 +20,22 @@ from .counting import (CountSequence, _as_integer, count_graphs_polya,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
 from .factor import factor_layers, is_cartesian_prime
-from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form, canonical_key,
+from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_key,
                      cartesian_product, complement, connected_components,
-                     disjoint_union, empty_graph, enumerate_graphs,
-                     induced_subgraph, is_connected)
+                     disjoint_union, enumerate_graphs, is_connected)
+
+ALL_GRAPHS_HORIZON = 24
+EVEN_HORIZON = 8
+HAMMING_HORIZON = 64
 
 
 @dataclass(frozen=True)
-class SemiringElement:
-    """Formal sum of connected graphs: the general element of the semiring.
-
-    Components are canonical and sorted; the empty sum is the additive
-    identity, and the one-vertex graph alone is the multiplicative identity.
-    """
-
-    components: tuple[Graph, ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple(sorted((canonical_form(c) for c in self.components),
-                             key=canonical_key))
-        if any(c.n < 1 for c in comps):
-            raise DomainError("components must be nonempty graphs")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "SemiringElement":
-        return cls(connected_components(g))
-
-    def to_graph(self, cap: int = 64) -> Graph:
-        acc = empty_graph(0)
-        for c in self.components:
-            acc = disjoint_union(acc, c, cap)
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return sum(c.n for c in self.components)
-
-    def __add__(self, other: "SemiringElement") -> "SemiringElement":
-        return SemiringElement(self.components + other.components)
-
-    def __mul__(self, other: "SemiringElement") -> "SemiringElement":
-        # products distribute over the formal sum; each pairwise product of
-        # connected graphs is connected
-        parts = []
-        for a in self.components:
-            for b in other.components:
-                parts.append(cartesian_product(a, b))
-        return SemiringElement(tuple(parts))
-
-
-ADDITIVE_IDENTITY = SemiringElement(())
-MULTIPLICATIVE_IDENTITY = SemiringElement((empty_graph(1),))
-
-
 class SemiringInstance:
     """One graph family with exact count sequences and membership.
+
+    The count fields map a degree k >= 1 (>= 2 for primes) within the
+    horizon to a count; the rule fields decide membership of a nonempty
+    graph and primality of a connected member of order >= 2.
 
     Sequence accessors follow a shared convention: non-integer degrees give
     0 (so vacuous terms in inequality sums vanish), negative degrees are
@@ -87,25 +49,21 @@ class SemiringInstance:
     computed from the prime counts alone.
     """
 
-    def __init__(self, name: str, add_horizon: int, enum_horizon: int,
-                 totals_fn, connected_fn, box_fn, member_fn,
-                 prime_fn, unique_factorization: bool = False) -> None:
-        self.name = name
-        self.unique_factorization = unique_factorization
-        self.add_horizon = add_horizon
-        self.enum_horizon = enum_horizon
-        self._totals_fn = totals_fn
-        self._connected_fn = connected_fn
-        self._box_fn = box_fn
-        self._member_fn = member_fn
-        self._prime_fn = prime_fn
-        self._lock = threading.Lock()
-        self._members: dict[int, tuple[Graph, ...]] = {}
-        self.p = self._least_prime_degree()
+    name: str
+    add_horizon: int
+    enum_horizon: int
+    count_all: Callable[[int], int]
+    count_connected: Callable[[int], int]
+    count_primes: Callable[[int], int]
+    member_rule: Callable[[Graph], bool]
+    prime_rule: Callable[[Graph], bool]
+    unique_factorization: bool = False
 
-    def _least_prime_degree(self) -> int:
+    @cached_property
+    def p(self) -> int:
+        """The least degree with a prime."""
         for n in range(2, self.add_horizon + 1):
-            if self._box_fn(n) > 0:
+            if self.count_primes(n) > 0:
                 return n
         raise DomainError(f"{self.name}: no prime degree within horizon")
 
@@ -125,26 +83,26 @@ class SemiringInstance:
         k = self._degree(x)
         if k is None:
             return 0
-        return 1 if k == 0 else self._totals_fn(k)
+        return 1 if k == 0 else self.count_all(k)
 
     def S_plus(self, x) -> int:
         """Connected members of degree x; 0 at non-integer x."""
         k = self._degree(x)
         if k is None or k == 0:
             return 0
-        return self._connected_fn(k)
+        return self.count_connected(k)
 
     def S_box(self, x) -> int:
         """Multiplicative primes of degree x; 0 at non-integer x."""
         k = self._degree(x)
         if k is None or k <= 1:
             return 0
-        return self._box_fn(k)
+        return self.count_primes(k)
 
     def is_member(self, g: Graph) -> bool:
         if g.n == 0:
             return True
-        return self._member_fn(g)
+        return self.member_rule(g)
 
     def members(self, n: int) -> tuple[Graph, ...]:
         """All members of degree n, canonical and sorted."""
@@ -152,14 +110,12 @@ class SemiringInstance:
             raise CapacityError(
                 f"{self.name}: member enumeration at {n} beyond horizon "
                 f"{self.enum_horizon}")
-        with self._lock:
-            got = self._members.get(n)
-        if got is None:
-            got = tuple(g for g in enumerate_graphs(n, self.enum_horizon)
-                        if self.is_member(g))
-            with self._lock:
-                self._members.setdefault(n, got)
-        return got
+        return self._members(n)
+
+    @cache
+    def _members(self, n: int) -> tuple[Graph, ...]:
+        return tuple(g for g in enumerate_graphs(n, self.enum_horizon)
+                     if self.is_member(g))
 
     def connected_members(self, n: int) -> tuple[Graph, ...]:
         if n < 1:
@@ -177,7 +133,7 @@ class SemiringInstance:
             raise DomainError("primality is defined for connected members only")
         if g.n < 2:
             raise DomainError("the one-vertex unit is neither prime nor composite")
-        return self._prime_fn(g)
+        return self.prime_rule(g)
 
 
 def _hamming_connected_count(n: int) -> int:
@@ -203,37 +159,30 @@ def is_complete(g: Graph) -> bool:
     return g.edge_count == comb(g.n, 2)
 
 
-def _is_connected_hamming(g: Graph) -> bool:
-    """Whether a connected graph is a product of complete graphs."""
-    return all(is_complete(f) for f in factor_layers(g))
-
-
 def _is_hamming_member(g: Graph) -> bool:
-    return all(_is_connected_hamming(c) for c in connected_components(g))
+    """Whether every component is a product of complete graphs."""
+    return all(is_complete(f) for c in connected_components(g)
+               for f in factor_layers(c))
 
 
-def instance_all_graphs(horizon: int = 24,
-                        enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
+def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The semiring of all graphs under disjoint union and cartesian product.
 
     Counting is arithmetic: totals by cycle index, connected counts by the
     Euler inverse, and prime counts from the connected counts by unique
     factorization.  No graph is built to count anything.
     """
-    if horizon > 24:
-        raise CapacityError("all-graphs horizon is limited to 24")
-    connected = graph_connected_totals(horizon)
-    primes = prime_counts_by_factorization(connected, horizon)
-
+    connected = graph_connected_totals(ALL_GRAPHS_HORIZON)
+    primes = prime_counts_by_factorization(connected, ALL_GRAPHS_HORIZON)
     return SemiringInstance(
         name="graphs",
-        add_horizon=horizon,
+        add_horizon=ALL_GRAPHS_HORIZON,
         enum_horizon=enum_cap,
-        totals_fn=graph_totals(horizon).at,
-        connected_fn=connected.at,
-        box_fn=primes.at,
-        member_fn=lambda g: True,
-        prime_fn=is_cartesian_prime,
+        count_all=graph_totals(ALL_GRAPHS_HORIZON).at,
+        count_connected=connected.at,
+        count_primes=primes.at,
+        member_rule=lambda g: True,
+        prime_rule=is_cartesian_prime,
         unique_factorization=True,
     )
 
@@ -273,46 +222,45 @@ def _product_edges(primes) -> int:
     return e
 
 
-def instance_even_edge(horizon: int = 8,
-                       enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
+@cache
+def _even_census(n: int) -> tuple[int, int, int]:
+    """Members, connected members and instance primes of order n, counted
+    in one walk over the graphs of that order."""
+    members = connected = primes = 0
+    for g in enumerate_graphs(n, EVEN_HORIZON):
+        if _even_member(g):
+            members += 1
+            if is_connected(g):
+                connected += 1
+                primes += _is_even_prime(g)
+    return members, connected, primes
+
+
+def instance_even_edge(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The subfamily of graphs with an even number of edges.
 
     All sequences are enumeration-backed, so the horizon is the enumeration
-    cap.  Primality is relative to the family: a connected member is
-    composite only if it is a product of two members, each on at least two
-    vertices, which its cartesian prime factors decide.  The one-edge graph
-    is not a member, so the least prime degree is 3 and no member composite
-    exists below degree 9.
+    cap, and at most 8; each order is walked only when first asked for.
+    Primality is relative to the family: a connected member is composite
+    only if it is a product of two members, each on at least two vertices,
+    which its cartesian prime factors decide.  The one-edge graph is not a
+    member, so the least prime degree is 3 and no member composite exists
+    below degree 9.
     """
-    if horizon > enum_cap:
-        raise CapacityError(
-            f"even-edge sequences are enumeration-backed; horizon {horizon} "
-            f"exceeds cap {enum_cap}")
-
-    def members(n: int):
-        return tuple(g for g in enumerate_graphs(n, enum_cap) if _even_member(g))
-
-    def connected_fn(n: int) -> int:
-        return sum(1 for g in members(n) if is_connected(g))
-
-    def box_fn(n: int) -> int:
-        return sum(1 for g in members(n)
-                   if is_connected(g) and _is_even_prime(g))
-
+    horizon = min(EVEN_HORIZON, enum_cap)
     return SemiringInstance(
         name="even",
         add_horizon=horizon,
         enum_horizon=horizon,
-        totals_fn=lambda n: len(members(n)),
-        connected_fn=connected_fn,
-        box_fn=box_fn,
-        member_fn=_even_member,
-        prime_fn=_is_even_prime,
+        count_all=lambda n: _even_census(n)[0],
+        count_connected=lambda n: _even_census(n)[1],
+        count_primes=lambda n: _even_census(n)[2],
+        member_rule=_even_member,
+        prime_rule=_is_even_prime,
     )
 
 
-def instance_hamming(horizon: int = 64,
-                     enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
+def instance_hamming(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The family generated by complete graphs.
 
     Counting is purely arithmetic: connected members of degree n correspond
@@ -321,21 +269,17 @@ def instance_hamming(horizon: int = 64,
     No graph is materialized for counting; membership and enumeration go
     through factorization and are capped at the enumeration horizon.
     """
-    if horizon > 64:
-        raise CapacityError("hamming horizon is limited to 64")
     connected = CountSequence.primes(
-        [_hamming_connected_count(n) for n in range(1, horizon + 1)])
-    totals = euler_transform(connected, horizon)
-
+        [_hamming_connected_count(n) for n in range(1, HAMMING_HORIZON + 1)])
     return SemiringInstance(
         name="hamming",
-        add_horizon=horizon,
+        add_horizon=HAMMING_HORIZON,
         enum_horizon=enum_cap,
-        totals_fn=totals.at,
-        connected_fn=connected.at,
-        box_fn=lambda n: 1,
-        member_fn=_is_hamming_member,
-        prime_fn=is_complete,
+        count_all=euler_transform(connected, HAMMING_HORIZON).at,
+        count_connected=connected.at,
+        count_primes=lambda n: 1,
+        member_rule=_is_hamming_member,
+        prime_rule=is_complete,
         unique_factorization=True,
     )
 
@@ -351,11 +295,7 @@ def build_instance(name: str, enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInsta
     if name not in INSTANCE_BUILDERS:
         raise DomainError(f"unknown instance {name!r}; "
                           f"choose from {sorted(INSTANCE_BUILDERS)}")
-    if name == "graphs":
-        return instance_all_graphs(enum_cap=enum_cap)
-    if name == "even":
-        return instance_even_edge(horizon=min(8, enum_cap), enum_cap=enum_cap)
-    return instance_hamming(enum_cap=enum_cap)
+    return INSTANCE_BUILDERS[name](enum_cap=enum_cap)
 
 
 def closure_check(inst: SemiringInstance, n_max: int) -> dict:
@@ -408,31 +348,3 @@ def monotonicity_report(inst: SemiringInstance, n_max: int) -> list[dict]:
         if here > there:
             rows.append({"n": n, "S_plus": here, "S_plus_next": there})
     return rows
-
-
-def hamming_polynomial(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> dict[Graph, int]:
-    """Census of connected induced subgraphs that are products of completes.
-
-    Maps the canonical form of each such subgraph to the number of vertex
-    subsets inducing it.  Single vertices count; the empty subset does not.
-    """
-    if g.n > cap:
-        raise CapacityError(f"order {g.n} exceeds cap {cap}")
-    counts: dict[Graph, int] = {}
-    for mask in range(1, 1 << g.n):
-        h = induced_subgraph(g, mask)
-        if not is_connected(h):
-            continue
-        ch = canonical_form(h)
-        if _is_connected_hamming(ch):
-            counts[ch] = counts.get(ch, 0) + 1
-    return counts
-
-
-def hamming_degree(g: Graph, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Total weight of the census: sum of multiplicity times subgraph order.
-
-    Always at least the order of the graph itself, since every vertex
-    contributes a one-vertex term.
-    """
-    return sum(mult * h.n for h, mult in hamming_polynomial(g, cap).items())

@@ -201,7 +201,10 @@ def test_enum_cap_ceiling_is_checked_before_any_instance(monkeypatch, capsys):
     limit = cli.ENUM_CAP_CEILING
     assert cli.main(["census", "--n", "2", "--enum-cap", str(limit + 1)]) == 2
     assert capsys.readouterr().err.startswith("capacity: --enum-cap")
-    assert cli.main(["factor", "A_", "--enum-cap", str(limit + 1)]) == 2
+    # factor enumerates nothing, so it takes no --enum-cap at all
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["factor", "A_", "--enum-cap", str(limit + 1)])
+    assert exc.value.code == 2
 
 
 def test_wright_cycle_index_cap_is_checked_before_the_walk(monkeypatch,
@@ -228,6 +231,18 @@ def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "capacity: line 1: factorization of order 3000 exceeds the limit "
         "256\n")
+
+
+def test_factor_prints_nothing_when_it_answers_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main(["factor"]) == 0
+    assert capsys.readouterr().out == ""
+    # every input fails: the order-3000 line is refused at its header
+    monkeypatch.setattr(sys, "stdin", io.StringIO("~?mw" + "?" * 749750 + "\n"))
+    assert cli.main(["factor"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("capacity: line 1:")
 
 
 def test_degree_range_is_lazy():

@@ -7,8 +7,7 @@ from boxprime.errors import CapacityError, DomainError
 from boxprime.factor import divisors
 from boxprime.functions import (REGISTRY, coprime_count, divisor_count,
                                 divisor_sum, evaluate, exponent_product,
-                                function_gap_report, population_stats,
-                                submultiplicativity_check,
+                                population_stats, submultiplicativity_check,
                                 unitary_divisor_count)
 from boxprime.graphs import (canonical_form, canonical_key,
                              cartesian_product, complete_graph, cycle_graph,
@@ -161,36 +160,6 @@ def test_population_stats_rejects_unknown_population(graphs_instance):
         population_stats("d", graphs_instance, 4, "odd")
 
 
-def test_function_gap_report(graphs_instance):
-    rows = function_gap_report("d", graphs_instance, [4])
-    assert rows[0]["f_plus"] == 13
-    assert rows[0]["f_box"] == 10
-    assert rows[0]["gap"] == 3
-    assert rows[0]["disconnected"] == 5
-    assert rows[0]["ratio"] == Fraction(3, 5)
-    rows = function_gap_report("phistar", graphs_instance, [4])
-    assert rows[0]["f_plus"] == 30
-    assert rows[0]["f_box"] == 25
-    assert rows[0]["ratio"] == 1
-
-
-def test_function_gap_report_walks_the_members_once(graphs_instance,
-                                                   monkeypatch):
-    inst = graphs_instance
-    expected = (population_stats("phistar", inst, 8, "add")["sum"],
-                population_stats("phistar", inst, 8, "mult")["sum"])
-    calls = []
-
-    def counted(name, g, inst):
-        calls.append(g)
-        return evaluate(name, g, inst)
-
-    monkeypatch.setattr(functions, "evaluate", counted)
-    row = function_gap_report("phistar", inst, [8])[0]
-    assert len(calls) == inst.S_plus(8)
-    assert (row["f_plus"], row["f_box"]) == expected
-
-
 @pytest.mark.parametrize("instance", ["graphs_instance", "hamming_instance"])
 def test_coprime_count_matches_brute_force(instance, request):
     inst = request.getfixturevalue(instance)
@@ -205,12 +174,6 @@ def test_coprime_count_matches_brute_force(instance, request):
         # two primes of order 3, and no product of complete graphs
         with pytest.raises(DomainError):
             coprime_count(cartesian_product(path_graph(3), K3), inst)
-
-
-def test_gap_vanishes_at_prime_orders(graphs_instance):
-    for n in (5, 7):
-        row = function_gap_report("d", graphs_instance, [n])[0]
-        assert row["gap"] == 0
 
 
 MULTIPLICATIVE = ("d", "dstar", "beta", "sigmastar")
@@ -259,8 +222,6 @@ def test_population_stats_build_no_graph(monkeypatch):
                                                      inst.S_box, n), (name, n)
                 assert mult["count"] == inst.S_box(n)
                 assert mult["sum"] == mult["count"] * REGISTRY[name](n, 1)
-            assert function_gap_report("d", inst, [n])[0]["f_box"] == \
-                2 * inst.S_box(n)
     # K2^3 x K3 beats every other factorization of order 24
     row = population_stats("sigmastar", instance_all_graphs(), 24, "add")
     assert row["max"] == 15 * 4

@@ -3,18 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from boxprime import factor, semiring
+from boxprime import factor, graphs, semiring
 from boxprime.counting import CountSequence, euler_transform
 from boxprime.errors import CapacityError, DomainError
 from boxprime.factor import is_cartesian_prime
 from boxprime.graphs import (Graph, canonical_form, cartesian_product,
                              complete_graph, cycle_graph, disjoint_union,
                              empty_graph, enumerate_connected, path_graph)
-from boxprime.semiring import (ADDITIVE_IDENTITY, MULTIPLICATIVE_IDENTITY,
-                               SemiringElement, build_instance, closure_check,
-                               hamming_degree, hamming_polynomial,
-                               instance_all_graphs, monotonicity_report,
-                               self_complementary_count,
+from boxprime.semiring import (INSTANCE_BUILDERS, build_instance,
+                               closure_check, instance_all_graphs,
+                               monotonicity_report, self_complementary_count,
                                self_complementary_identity)
 from _oracles import (composite_set, count_composites, even_member_composites,
                       multiplicative_partition_count)
@@ -25,17 +23,6 @@ GRAPH_PRIMES = (1, 2, 5, 21, 110, 853, 11111)
 EVEN_TOTALS = (1, 1, 1, 2, 6, 18, 78, 522, 6178)
 EVEN_CONNECTED = (1, 0, 1, 3, 11, 55, 427, 5561)
 SELF_COMPLEMENTARY = (1, 0, 0, 1, 2, 0, 0, 10)
-
-
-CONNECTED_POOL = tuple(g for n in range(1, 4) for g in enumerate_connected(n))
-
-
-def elements(max_components=3):
-    return st.builds(
-        SemiringElement,
-        st.lists(st.sampled_from(CONNECTED_POOL),
-                 max_size=max_components).map(tuple),
-    )
 
 
 def test_graphs_instance_sequences(graphs_instance):
@@ -58,7 +45,7 @@ def test_graphs_prime_counts_build_no_graph(monkeypatch):
 
     monkeypatch.setattr(factor, "factor_layers", forbidden)
     monkeypatch.setattr(semiring, "factor_layers", forbidden)
-    monkeypatch.setattr(semiring, "canonical_form", forbidden)
+    monkeypatch.setattr(graphs, "_canonical_bits", forbidden)
     monkeypatch.setattr(semiring, "cartesian_product", forbidden)
     inst = instance_all_graphs()
     assert all(inst.S_box(n) > 0 for n in range(2, 25))
@@ -210,6 +197,38 @@ def test_build_instance_rejects_unknown_name():
         build_instance("rings")
 
 
+def test_even_instance_walks_only_the_orders_asked_for(monkeypatch):
+    # an instance built eagerly to its horizon would enumerate order 8
+    walked = []
+    enumerate_order = graphs._enumerate
+
+    def recorded(n):
+        walked.append(n)
+        return enumerate_order(n)
+
+    monkeypatch.setattr(graphs, "_enumerate", recorded)
+    semiring._even_census.cache_clear()
+    inst = build_instance("even")
+    assert inst.S_box(4) == EVEN_CONNECTED[3]
+    assert inst.p == 3
+    assert walked and max(walked) == 4
+
+
+@pytest.mark.parametrize("cap", [5, 8])
+@pytest.mark.parametrize("name", sorted(INSTANCE_BUILDERS))
+def test_build_instance_matches_the_builder(name, cap):
+    built = build_instance(name, enum_cap=cap)
+    direct = INSTANCE_BUILDERS[name](enum_cap=cap)
+    assert (built.name, built.add_horizon, built.enum_horizon,
+            built.unique_factorization) == \
+        (direct.name, direct.add_horizon, direct.enum_horizon,
+         direct.unique_factorization)
+    for n in range(built.add_horizon + 1):
+        assert (built.S(n), built.S_plus(n), built.S_box(n)) == \
+            (direct.S(n), direct.S_plus(n), direct.S_box(n)), (name, n)
+    assert built.p == direct.p
+
+
 def test_self_complementary_counts():
     for n, expect in enumerate(SELF_COMPLEMENTARY, start=1):
         lhs, rhs, equal = self_complementary_identity(n)
@@ -222,51 +241,3 @@ def test_monotonicity_report(graphs_instance, hamming_instance):
     rows = monotonicity_report(hamming_instance, 12)
     assert [row["n"] for row in rows] == [4, 6, 8, 10]
     assert rows[1] == {"n": 6, "S_plus": 2, "S_plus_next": 1}
-
-
-def test_element_identities():
-    k2 = complete_graph(2)
-    el = SemiringElement((k2, complete_graph(3)))
-    assert el + ADDITIVE_IDENTITY == el
-    assert el * MULTIPLICATIVE_IDENTITY == el
-    assert (ADDITIVE_IDENTITY * el).components == ()
-    assert el.degree == 5
-
-
-@given(elements(), elements(), elements())
-def test_element_semiring_laws(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a + b) * c == a * c + b * c
-    assert (a * b).degree == a.degree * b.degree
-    assert (a + b).degree == a.degree + b.degree
-
-
-def test_element_round_trip():
-    g = disjoint_union(cycle_graph(3), path_graph(2))
-    el = SemiringElement.from_graph(g)
-    assert len(el.components) == 2
-    assert canonical_form(el.to_graph()) == canonical_form(g)
-
-
-def test_element_rejects_empty_component():
-    with pytest.raises(DomainError):
-        SemiringElement((empty_graph(0),))
-
-
-def test_hamming_polynomial_values():
-    k1, k2 = empty_graph(1), complete_graph(2)
-    p3, c4 = path_graph(3), canonical_form(cycle_graph(4))
-    assert hamming_polynomial(k1) == {k1: 1}
-    assert hamming_polynomial(p3) == {k1: 3, k2: 2}
-    assert hamming_polynomial(c4) == {k1: 4, k2: 4, c4: 1}
-    assert hamming_degree(k1) == 1
-    assert hamming_degree(k2) == 4
-    assert hamming_degree(p3) == 7
-
-
-def test_hamming_polynomial_counts_every_vertex_once():
-    for g in enumerate_connected(5):
-        poly = hamming_polynomial(g)
-        assert poly[empty_graph(1)] == g.n
