@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import add, mul
 
 from .errors import CapacityError, DomainError
 
@@ -96,36 +97,6 @@ class SignedSequence:
         return [(self.offset + i, v) for i, v in enumerate(self.values)]
 
 
-def _divisors(k: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            if d != k // d:
-                out.append(k // d)
-        d += 1
-    out.sort()
-    return out
-
-
-def _mobius(k: int) -> int:
-    if k == 1:
-        return 1
-    mu = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if k > 1:
-        mu = -mu
-    return mu
-
-
 def _cycle_index_sums(max_degree: int) -> list[int]:
     """sums[n] = sum over cycle types of n of (n!/z) 2^e, for n <= max_degree.
 
@@ -199,6 +170,71 @@ def _require_window(seq, lo: int, hi: int) -> None:
             f"sequence window {seq.offset}..{seq.max_degree} does not cover {lo}..{hi}")
 
 
+def multiply_factor(series: list, k: int, coeffs, times=add, plus=add) -> None:
+    """Multiply series in place by sum_m coeffs[m] y^m, y of degree k.
+
+    series[i] is the coefficient of degree i.  Under disjoint union
+    (times=add) y is x^k, so the term y^m carries degree i to i + m k;
+    under the box product (times=mul) y is k^-s and carries i to i k^m.
+    plus combines the terms of one degree: add, or max for a maximum over
+    nonnegative values, where 0 stands for no term.  i runs downward, so
+    each entry is read before any lower entry adds to it.
+    """
+    top = len(series) - 1
+    first, rest = coeffs[0], coeffs[1:]
+    for i in range(top, -1, -1):
+        here = series[i]
+        if not here:
+            continue
+        series[i] = first * here
+        j = i
+        for c in rest:
+            j = times(j, k)
+            if j > top:
+                break
+            series[j] = plus(series[j], c * here)
+
+
+def _euler_walk(top: int, times, primes_at=None, target=None) -> tuple:
+    """Expand prod_k (1 - y_k)^-p(k) over k ascending, to degree top.
+
+    Under union (times=add) y_k = x^k, k >= 1, and the series counts
+    multisets by degree sum from the empty multiset at 0; under the box
+    product (times=mul) y_k = k^-s, k >= 2, and it counts them by degree
+    product from the unit at 1.  Each p(k) is primes_at(k) (a transform),
+    or target(k) minus the multisets of smaller primes already formed at
+    degree k (an inverse).  The free factor (1 - y)^-p has coefficient
+    C(p+m-1, m) at y^m.  Returns the series and the prime counts p[0..top].
+
+    Raises DomainError when top is below the unit's degree, or when an
+    inverse finds a negative prime count.
+    """
+    unit = 0 if times is add else 1
+    if top < unit:
+        raise DomainError(f"maximum degree must be at least {unit}")
+    series = [0] * (top + 1)
+    series[unit] = 1
+    primes = [0] * (top + 1)
+    for k in range(unit + 1, top + 1):
+        if target is None:
+            count = primes_at(k)
+        else:
+            count = target(k) - series[k]
+            if count < 0:
+                raise DomainError(
+                    f"counts admit no nonnegative prime counts: degree {k} "
+                    f"has {series[k]} multisets of smaller primes but "
+                    f"{target(k)} in all")
+        primes[k] = count
+        factor, degree = [1], k
+        while degree <= top:
+            m = len(factor)
+            factor.append(comb(count + m - 1, m))
+            degree = times(degree, k)
+        multiply_factor(series, k, factor, times)
+    return series, primes
+
+
 def prime_counts_by_factorization(connected: CountSequence,
                                   max_degree: int) -> CountSequence:
     """Prime counts 1..max_degree of a family with unique factorization.
@@ -212,87 +248,38 @@ def prime_counts_by_factorization(connected: CountSequence,
     Raises DomainError when no nonnegative prime sequence exists.
     """
     _require_window(connected, 1, max_degree)
-    # products[j]: prime multisets of product degree j, primes of degree < k
-    products = [0] * (max_degree + 1)
-    products[1] = 1
-    p = [0] * (max_degree + 1)
-    for k in range(2, max_degree + 1):
-        p[k] = connected.at(k) - products[k]
-        if p[k] < 0:
-            raise DomainError(
-                f"connected counts admit no unique factorization: degree {k} "
-                f"has {products[k]} composites but {connected.at(k)} members")
-        _multiply_euler_factor(products, k, p[k])
-    return CountSequence.primes(p[1:])
+    _, primes = _euler_walk(max_degree, mul, target=connected.at)
+    return CountSequence.primes(primes[1:])
 
 
-def _multiply_euler_factor(products: list[int], k: int, count: int) -> None:
-    """Multiply the Dirichlet series products[1:] by (1 - k^-s)^-count in
-    place: count primes of degree k, each usable any number of times."""
-    top = len(products) - 1
-    # (1 - k^-s)^-count has coefficient C(count+m-1, m) at k^m; descending
-    # j reads each products[j / k^m] before updating it
-    for j in range(top - top % k, k - 1, -k):
-        q, m = j // k, 1
-        while True:
-            products[j] += comb(count + m - 1, m) * products[q]
-            if q % k:
-                break
-            q, m = q // k, m + 1
-
-
-def prime_multiset_count(n: int, primes_at) -> int:
-    """Multisets of primes whose degrees multiply to n, given the number
-    primes_at(k) of primes of each degree k >= 2 dividing n: the
-    coefficient of n^-s in prod_k (1 - k^-s)^-primes_at(k).  1 at n = 1.
+def multiplicative_transform(primes: CountSequence,
+                             max_degree: int) -> CountSequence:
+    """Connected counts 1..max_degree of the multisets of primes whose
+    degrees multiply to each degree, given the prime counts; degree 1 is
+    the unit (the empty multiset) and prime counts at degree 1 are ignored.
     """
-    if n < 1:
-        raise DomainError("degree must be positive")
-    products = [0] * (n + 1)
-    products[1] = 1
-    for k in range(2, n + 1):
-        if n % k == 0:
-            _multiply_euler_factor(products, k, primes_at(k))
-    return products[n]
-
-
-def _weighted_divisor_sums(primes: CountSequence, n: int) -> list[int]:
-    q = [0] * (n + 1)
-    for k in range(1, n + 1):
-        q[k] = sum(d * primes.at(d) for d in _divisors(k))
-    return q
+    _require_window(primes, 1, max_degree)
+    series, _ = _euler_walk(max_degree, mul, primes_at=primes.at)
+    return CountSequence.primes(series[1:])
 
 
 def euler_transform(primes: CountSequence, max_degree: int) -> CountSequence:
     """Totals whose multisets are built freely from the given prime counts."""
     _require_window(primes, 1, max_degree)
-    q = _weighted_divisor_sums(primes, max_degree)
-    s = [1] + [0] * max_degree
-    for n in range(1, max_degree + 1):
-        acc = sum(q[k] * s[n - k] for k in range(1, n + 1))
-        s[n], r = divmod(acc, n)
-        assert r == 0
-    return CountSequence.totals(s)
+    series, _ = _euler_walk(max_degree, add, primes_at=primes.at)
+    return CountSequence.totals(series)
 
 
 def euler_inverse(totals: CountSequence, max_degree: int) -> CountSequence:
     """Prime counts whose Euler transform reproduces the given totals.
 
-    Raises DomainError when no nonnegative integer prime sequence exists.
+    Every integer sequence starting with 1 is the transform of exactly one
+    integer prime sequence, which the walk reads off degree by degree.
+    Raises DomainError when that sequence has a negative count.
     """
     _require_window(totals, 0, max_degree)
-    q = [0] * (max_degree + 1)
-    for n in range(1, max_degree + 1):
-        q[n] = n * totals.at(n) - sum(q[k] * totals.at(n - k) for k in range(1, n))
-    p = [0] * (max_degree + 1)
-    for n in range(1, max_degree + 1):
-        acc = sum(_mobius(n // d) * q[d] for d in _divisors(n))
-        p[n], r = divmod(acc, n)
-        if r != 0:
-            raise DomainError(f"totals are not an Euler transform: degree {n} is non-integral")
-        if p[n] < 0:
-            raise DomainError(f"totals are not an Euler transform: degree {n} is negative")
-    return CountSequence.primes(p[1:])
+    _, primes = _euler_walk(max_degree, add, target=totals.at)
+    return CountSequence.primes(primes[1:])
 
 
 def inversion_coefficients(totals: CountSequence, max_degree: int) -> SignedSequence:

@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 
-from .counting import prime_multiset_count
+from .counting import CountSequence, multiply_factor, multiplicative_transform
 from .errors import CapacityError, DomainError
 from .factor import factorize
-from .graphs import Graph, canonical_key, cartesian_product
+from .graphs import Graph, cartesian_product
 from .graph6 import encode_graph6
 from .semiring import SemiringInstance, instance_all_graphs
 
@@ -76,17 +76,6 @@ def divisor_sum(g: Graph) -> int:
     return _multiplicative_value(REGISTRY["sigmastar"], g)
 
 
-def _prime_factor_keys(g: Graph, inst: SemiringInstance) -> frozenset:
-    """Canonical keys of the instance-prime factors of a connected member
-    of a family without unique factorization."""
-    if g.n == 1:
-        return frozenset()
-    if inst.is_instance_prime(g):
-        return frozenset((canonical_key(g),))
-    raise CapacityError(
-        f"{inst.name}: no factorization table for composite members")
-
-
 def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     """Connected members of the same degree sharing no prime factor with g.
 
@@ -94,7 +83,8 @@ def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     of product degree n that avoid g's primes: the coefficient of n^-s in
     prod_k (1 - k^-s)^-(S_box(k) - c_k), c_k the number of distinct primes
     of degree k dividing g.  That reaches the instance horizon.  Other
-    families walk their composite members factor set against factor set.
+    families are counted only where every connected member is prime, so
+    that g shares a factor with itself alone.
     """
     if inst is None:
         inst = instance_all_graphs()
@@ -103,17 +93,15 @@ def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     n = g.n
     if inst.unique_factorization:
         own = Counter(p.n for p in set(factorize(g)))
-        return prime_multiset_count(n, lambda k: inst.S_box(k) - own[k])
+        primes = CountSequence.primes(
+            [inst.S_box(k) - own[k] for k in range(1, n + 1)])
+        return multiplicative_transform(primes, n).at(n)
     if n == 1:
         return 1 if inst.S_plus(1) else 0
-    factors = _prime_factor_keys(g, inst)
-    own_prime = sum(1 for k in factors if k[0] == n)
-    count = inst.S_box(n) - own_prime
-    for h in inst.connected_members(n):
-        if (not inst.is_instance_prime(h)
-                and _prime_factor_keys(h, inst).isdisjoint(factors)):
-            count += 1
-    return count
+    if not inst.is_instance_prime(g) or inst.S_plus(n) != inst.S_box(n):
+        raise CapacityError(
+            f"{inst.name}: no factorization table for composite members")
+    return inst.S_box(n) - 1
 
 
 def evaluate(name: str, g: Graph, inst: SemiringInstance) -> int:
@@ -129,21 +117,6 @@ def _population(inst: SemiringInstance, n: int, population: str) -> list[Graph]:
     return [h for h in inst.connected_members(n) if inst.is_instance_prime(h)]
 
 
-def _accumulate(series: dict, degree: int, value: int, plus) -> None:
-    series[degree] = value if degree not in series else plus(series[degree], value)
-
-
-def _dirichlet_product(x: dict, y: dict, n: int, plus) -> dict:
-    """Product of two Dirichlet series {degree: coefficient}, kept on the
-    divisors of n; plus combines the terms of one degree."""
-    out: dict[int, int] = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            if n % (i * j) == 0:
-                _accumulate(out, i * j, a * b, plus)
-    return out
-
-
 def _over_members(rule, inst: SemiringInstance, n: int, plus, weight):
     """Combine rule-products over the connected members of degree n.
 
@@ -151,27 +124,29 @@ def _over_members(rule, inst: SemiringInstance, n: int, plus, weight):
     orders multiply to n, so the Dirichlet series of the members is the
     product over prime orders k of (1 + sum_a f(k, a) k^-as)^p, p = S_box(k).
     Each factor is expanded as sum_j weight(p, j) h^j, h its a >= 1 part:
-    weight comb and plus add give the sum of the rule-products, weight 1
-    and plus max their maximum (j <= p parts, one distinct prime each).
+    weight comb and plus add give the sum of the rule-products, weight
+    j <= p and plus max their maximum (j parts, one distinct prime each).
     0 when the degree has no member.
     """
-    acc = {1: 1}
+    if n < 1:
+        return 0
+    series = [0] * (n + 1)
+    series[1] = 1
     for k in range(2, n + 1):
         if n % k:
             continue
-        p = inst.S_box(k)
-        h, q, a = {}, k, 1
-        while n % q == 0:
-            h[q] = rule(k, a)
-            q, a = q * k, a + 1
-        local, power, j = {1: 1}, {1: 1}, 0
-        while power and j < p:
-            j += 1
-            power = _dirichlet_product(power, h, n, plus)
-            for degree, c in power.items():
-                _accumulate(local, degree, weight(p, j) * c, plus)
-        acc = _dirichlet_product(acc, local, n, plus)
-    return acc.get(n, 0)
+        p, top = inst.S_box(k), 1
+        while n % k ** (top + 1) == 0:
+            top += 1
+        # coefficients in y = k^-s: h, its powers, and the local factor
+        h = [0] + [rule(k, a) for a in range(1, top + 1)]
+        power = [1] + [0] * top
+        local = power[:]
+        for j in range(1, top + 1):
+            multiply_factor(power, 1, h, add, plus)
+            local = [plus(c, weight(p, j) * d) for c, d in zip(local, power)]
+        multiply_factor(series, k, local, mul, plus)
+    return series[n]
 
 
 def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
@@ -185,10 +160,10 @@ def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
         # a prime of degree n is its own factorization, exponent 1
         count, value = inst.S_box(n), rule(n, 1)
         return count, count * value, count * value * value, value
-    return (_over_members(lambda k, a: 1, inst, n, add, comb),
+    return (inst.S_plus(n),
             _over_members(rule, inst, n, add, comb),
             _over_members(lambda k, a: rule(k, a) ** 2, inst, n, add, comb),
-            _over_members(rule, inst, n, max, lambda p, j: 1))
+            _over_members(rule, inst, n, max, lambda p, j: j <= p))
 
 
 def population_stats(name: str, inst: SemiringInstance, n: int,

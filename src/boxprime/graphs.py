@@ -328,8 +328,9 @@ def _canonical_bits(n: int, rows) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _canonical_bits_for(n: int, bits: int) -> int:
-    return _canonical_bits(n, Graph(n, bits).rows)
+def _canonical_bits_for(g: Graph) -> int:
+    # keyed on (n, bits); a graph that already holds its rows is not decoded
+    return _canonical_bits(g.n, g.rows)
 
 
 def canonical_form(g: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
@@ -338,7 +339,7 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
         raise CapacityError(f"canonical form of order {g.n} exceeds cap {cap}")
     if g.n <= 1:
         return g
-    return Graph(g.n, _canonical_bits_for(g.n, g.bits))
+    return Graph(g.n, _canonical_bits_for(g))
 
 
 def canonical_key(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from math import comb
 
 from .counting import (CountSequence, _as_integer, count_graphs_polya,
                        euler_transform, graph_connected_totals, graph_totals,
+                       multiplicative_transform,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
 from .factor import factor_layers, is_cartesian_prime
@@ -136,25 +137,6 @@ class SemiringInstance:
         return self.prime_rule(g)
 
 
-def _hamming_connected_count(n: int) -> int:
-    """Multisets of integers >= 2 with product n; 1 at n = 1 (the unit)."""
-
-    def count(m: int, largest: int) -> int:
-        if m == 1:
-            return 1
-        total = 0
-        d = 2
-        while d <= largest and d <= m:
-            if m % d == 0:
-                total += count(m // d, d)
-            d += 1
-        return total
-
-    if n < 1:
-        raise DomainError("degree must be positive")
-    return count(n, n)
-
-
 def is_complete(g: Graph) -> bool:
     return g.edge_count == comb(g.n, 2)
 
@@ -263,14 +245,16 @@ def instance_even_edge(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
 def instance_hamming(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The family generated by complete graphs.
 
-    Counting is purely arithmetic: connected members of degree n correspond
-    to multisets of integers >= 2 with product n, totals follow by the Euler
-    transform, and the only prime of each degree >= 2 is the complete graph.
+    Counting is purely arithmetic: the only prime of each degree >= 2 is
+    the complete graph, so connected members of degree n correspond to
+    multisets of integers >= 2 with product n (the multiplicative transform
+    of one prime per order), and totals follow by the Euler transform.
     No graph is materialized for counting; membership and enumeration go
     through factorization and are capped at the enumeration horizon.
     """
-    connected = CountSequence.primes(
-        [_hamming_connected_count(n) for n in range(1, HAMMING_HORIZON + 1)])
+    connected = multiplicative_transform(
+        CountSequence.primes([0] + [1] * (HAMMING_HORIZON - 1)),
+        HAMMING_HORIZON)
     return SemiringInstance(
         name="hamming",
         add_horizon=HAMMING_HORIZON,

@@ -12,6 +12,7 @@ from functools import cache
 from itertools import permutations, product
 from math import comb, factorial, gcd, prod
 
+from boxprime.counting import CountSequence
 from boxprime.errors import CapacityError, DomainError
 from boxprime.functions import evaluate
 from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
@@ -40,6 +41,57 @@ def multiplicative_partition_count(n: int) -> int:
         return total
 
     return 1 if n == 1 else count(n, 2)
+
+
+def _divisors(k: int) -> list[int]:
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def _mobius(k: int) -> int:
+    mu, d = 1, 2
+    while k > 1:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return mu
+
+
+def euler_transform_by_divisor_sums(primes: CountSequence,
+                                    max_degree: int) -> CountSequence:
+    """Totals from prime counts by the log-derivative recurrence
+    n S(n) = sum_{k=1}^{n} q(k) S(n-k), q(k) = sum_{d | k} d p(d)."""
+    q = [0] * (max_degree + 1)
+    for k in range(1, max_degree + 1):
+        q[k] = sum(d * primes.at(d) for d in _divisors(k))
+    s = [1] + [0] * max_degree
+    for n in range(1, max_degree + 1):
+        acc = sum(q[k] * s[n - k] for k in range(1, n + 1))
+        s[n], r = divmod(acc, n)
+        assert r == 0
+    return CountSequence.totals(s)
+
+
+def euler_inverse_by_mobius(totals: CountSequence,
+                            max_degree: int) -> CountSequence:
+    """Prime counts from totals: q(n) from the log-derivative recurrence,
+    then n p(n) = sum_{d | n} mu(n/d) q(d).  DomainError when a count is
+    non-integral or negative."""
+    q = [0] * (max_degree + 1)
+    for n in range(1, max_degree + 1):
+        q[n] = n * totals.at(n) - sum(q[k] * totals.at(n - k)
+                                      for k in range(1, n))
+    p = [0] * (max_degree + 1)
+    for n in range(1, max_degree + 1):
+        acc = sum(_mobius(n // d) * q[d] for d in _divisors(n))
+        p[n], r = divmod(acc, n)
+        if r != 0:
+            raise DomainError(f"degree {n} is non-integral")
+        if p[n] < 0:
+            raise DomainError(f"degree {n} is negative")
+    return CountSequence.primes(p[1:])
 
 
 def _factor_multisets(n: int, lo: int = 2):

@@ -8,11 +8,14 @@ from boxprime.counting import (POLYA_CAP, CountSequence, SignedSequence,
                                count_graphs_polya, euler_inverse,
                                euler_transform, graph_connected_totals,
                                graph_totals, inversion_coefficients,
+                               multiplicative_transform,
                                prime_counts_by_factorization)
 from boxprime.errors import CapacityError, DomainError
 from boxprime.graphs import enumerate_connected, enumerate_graphs
 from _oracles import (composite_count_by_multisets,
                       count_graphs_by_cycle_types,
+                      euler_inverse_by_mobius,
+                      euler_transform_by_divisor_sums,
                       multiplicative_partition_count)
 
 TOTALS_THROUGH_12 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668,
@@ -80,6 +83,50 @@ def test_transform_then_inverse_is_identity(prime_counts):
     primes = CountSequence.primes(prime_counts)
     n = len(prime_counts)
     assert euler_inverse(euler_transform(primes, n), n).values == primes.values
+
+
+def test_walk_matches_divisor_sums_and_mobius_on_graph_counts():
+    totals = graph_totals(POLYA_CAP)
+    primes = euler_inverse(totals, POLYA_CAP)
+    assert primes == euler_inverse_by_mobius(totals, POLYA_CAP)
+    assert euler_transform(primes, POLYA_CAP) == \
+        euler_transform_by_divisor_sums(primes, POLYA_CAP)
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=16))
+def test_walk_matches_divisor_sums_and_mobius(prime_counts):
+    primes = CountSequence.primes(prime_counts)
+    n = len(prime_counts)
+    totals = euler_transform_by_divisor_sums(primes, n)
+    assert euler_transform(primes, n) == totals
+    assert euler_inverse(totals, n) == primes
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+def test_multiplicative_transform_counts_prime_multisets(prime_counts):
+    # degree 1 is the unit whatever count is given there
+    primes = CountSequence.primes(prime_counts)
+    n = len(prime_counts)
+    connected = multiplicative_transform(primes, n)
+    assert connected.at(1) == 1
+    for k in range(2, n + 1):
+        composites = composite_count_by_multisets(k, primes.at)
+        assert connected.at(k) == primes.at(k) + composites, k
+    assert prime_counts_by_factorization(connected, n).values[1:] == \
+        primes.values[1:]
+
+
+def test_walks_reject_degrees_below_the_unit():
+    # the box product's unit has degree 1, the union's degree 0
+    with pytest.raises(DomainError):
+        multiplicative_transform(CountSequence.primes(()), 0)
+    with pytest.raises(DomainError):
+        prime_counts_by_factorization(CountSequence.primes((1,)), 0)
+    with pytest.raises(DomainError):
+        euler_transform(CountSequence.primes(()), -1)
+    assert euler_inverse(CountSequence.totals((1,)), 0).values == ()
+    with pytest.raises(DomainError):
+        multiplicative_transform(CountSequence.primes((0, 1)), 3)
 
 
 def test_transform_small_hand_values():

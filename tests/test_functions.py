@@ -160,20 +160,55 @@ def test_population_stats_rejects_unknown_population(graphs_instance):
         population_stats("d", graphs_instance, 4, "odd")
 
 
-@pytest.mark.parametrize("instance", ["graphs_instance", "hamming_instance"])
+@pytest.mark.parametrize("instance", ["graphs_instance", "hamming_instance",
+                                      "even_instance"])
 def test_coprime_count_matches_brute_force(instance, request):
     inst = request.getfixturevalue(instance)
 
     def table_keys(h):
         return frozenset(canonical_key(f) for f in factorize_by_table(h))
 
-    for n in range(1, 9):
-        for g, count in coprime_counts_by_members(inst, n, table_keys).items():
+    def own_key(h):
+        # no even member below order 9 is a product of two members
+        return frozenset((canonical_key(h),))
+
+    keys, orders = table_keys, range(1, 9)
+    if instance == "even_instance":
+        keys, orders = own_key, range(2, 9)
+    for n in orders:
+        for g, count in coprime_counts_by_members(inst, n, keys).items():
             assert coprime_count(g, inst) == count, (n, g)
     if instance == "hamming_instance":
         # two primes of order 3, and no product of complete graphs
         with pytest.raises(DomainError):
             coprime_count(cartesian_product(path_graph(3), K3), inst)
+
+
+def test_coprime_count_refuses_a_family_with_member_composites():
+    # two connected members of each order but one prime: a composite
+    # exists, and without unique factorization nothing counts its factors
+    inst = semiring.SemiringInstance(
+        name="toy", add_horizon=8, enum_horizon=8,
+        count_all=lambda n: 3, count_connected=lambda n: 2,
+        count_primes=lambda n: 1, member_rule=lambda g: True,
+        prime_rule=lambda g: True)
+    with pytest.raises(CapacityError):
+        coprime_count(K3, inst)
+
+
+def test_even_coprime_count_walks_no_members(monkeypatch, even_instance):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the connected members were walked")
+
+    members = {n: even_instance.connected_members(n) for n in range(3, 9)}
+    monkeypatch.setattr(semiring.SemiringInstance, "connected_members",
+                        forbidden)
+    for n, gs in members.items():
+        for g in gs[:5]:
+            assert coprime_count(g, even_instance) == \
+                even_instance.S_box(n) - 1
+    with pytest.raises(DomainError):
+        coprime_count(complete_graph(2), even_instance)
 
 
 MULTIPLICATIVE = ("d", "dstar", "beta", "sigmastar")

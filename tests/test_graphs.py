@@ -3,7 +3,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from boxprime import graphs as graphs_module
 from boxprime.errors import CapacityError, DomainError
+from boxprime.graph6 import encode_graph6, parse_graph6
 from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              cartesian_product, complement,
                              complete_graph, connected_components,
@@ -100,6 +102,20 @@ def test_canonical_form_is_idempotent_on_census():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             assert canonical_form(g) == g
+
+
+def test_canonical_form_of_a_parsed_graph_decodes_no_rows(monkeypatch):
+    # graph6 parsing yields neighbor rows; canonicalizing must not rebuild
+    # them from the packed vector
+    g = parse_graph6(encode_graph6(relabel(path_graph(6), (3, 0, 5, 1, 4, 2))))
+    expected = canonical_form(path_graph(6))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rows were decoded again")
+
+    monkeypatch.setattr(graphs_module, "_mirror", forbidden)
+    graphs_module._canonical_bits_for.cache_clear()
+    assert canonical_form(g) == expected
 
 
 def test_canonical_cap():

@@ -95,7 +95,7 @@ def test_even_primes_below_order_9_need_no_factorization(monkeypatch):
 
 def test_hamming_instance_sequences(hamming_instance):
     inst = hamming_instance
-    for n in range(1, 31):
+    for n in range(1, 65):
         assert inst.S_plus(n) == multiplicative_partition_count(n), n
     assert tuple(inst.S_box(n) for n in range(2, 13)) == (1,) * 11
     assert inst.S(10) == 67
