@@ -8,13 +8,12 @@ used throughout the bound computations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 from operator import add, mul
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, read_only
 
 POLYA_CAP = 32
 
@@ -32,56 +31,28 @@ def _as_integer(x):
     raise DomainError(f"unsupported degree type {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class CountSequence:
-    """Nonnegative integer counts on the dense degree window offset..offset+len-1."""
+class _Window:
+    """Integer values on the dense degree window offset..offset+len-1; an
+    immutable value, equal and hashed by type, values and offset."""
 
-    values: tuple[int, ...]
-    offset: int = 0
+    __slots__ = ("values", "offset")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if any(v < 0 for v in self.values):
-            raise DomainError("counts must be nonnegative")
-        if self.offset == 0 and self.values and self.values[0] != 1:
-            raise DomainError("a totals sequence must count exactly one object of degree 0")
+    def __init__(self, values, offset: int) -> None:
+        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        object.__setattr__(self, "offset", offset)
 
-    @classmethod
-    def totals(cls, values) -> "CountSequence":
-        return cls(tuple(values), 0)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.offset) == (other.values, other.offset)
 
-    @classmethod
-    def primes(cls, values) -> "CountSequence":
-        """Prime counts for degrees 1..len(values)."""
-        return cls(tuple(values), 1)
+    def __hash__(self) -> int:
+        return hash((self.values, self.offset))
 
-    @property
-    def max_degree(self) -> int:
-        return self.offset + len(self.values) - 1
-
-    def at(self, x) -> int:
-        """Value at degree x; 0 for non-integer x, error outside the window."""
-        k = _as_integer(x)
-        if k is None:
-            return 0
-        if not self.offset <= k <= self.max_degree:
-            raise DomainError(
-                f"degree {k} absent (window {self.offset}..{self.max_degree})")
-        return self.values[k - self.offset]
-
-    def window(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, v) for i, v in enumerate(self.values)]
-
-
-@dataclass(frozen=True)
-class SignedSequence:
-    """Signed integer coefficients on the dense degree window starting at offset."""
-
-    values: tuple[int, ...]
-    offset: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(values={self.values!r}, "
+                f"offset={self.offset!r})")
 
     @property
     def max_degree(self) -> int:
@@ -97,31 +68,85 @@ class SignedSequence:
         return [(self.offset + i, v) for i, v in enumerate(self.values)]
 
 
+class CountSequence(_Window):
+    """Nonnegative integer counts on the dense degree window offset..offset+len-1."""
+
+    __slots__ = ()
+
+    def __init__(self, values: tuple[int, ...], offset: int = 0) -> None:
+        super().__init__(values, offset)
+        if any(v < 0 for v in self.values):
+            raise DomainError("counts must be nonnegative")
+        if offset == 0 and self.values and self.values[0] != 1:
+            raise DomainError("a totals sequence must count exactly one object of degree 0")
+
+    @classmethod
+    def totals(cls, values) -> "CountSequence":
+        return cls(tuple(values), 0)
+
+    @classmethod
+    def primes(cls, values) -> "CountSequence":
+        """Prime counts for degrees 1..len(values)."""
+        return cls(tuple(values), 1)
+
+    def at(self, x) -> int:
+        """Value at degree x; 0 for non-integer x, error outside the window."""
+        k = _as_integer(x)
+        return 0 if k is None else super().at(k)
+
+
+class SignedSequence(_Window):
+    """Signed integer coefficients on the dense degree window starting at offset."""
+
+    __slots__ = ()
+
+    def __init__(self, values: tuple[int, ...], offset: int = 1) -> None:
+        super().__init__(values, offset)
+
+
 def _cycle_index_sums(max_degree: int) -> list[int]:
     """sums[n] = sum over cycle types of n of (n!/z) 2^e, for n <= max_degree.
 
     One depth-first walk visits every partition of every n <= max_degree
     once: a node is a partition with distinct parts in descending order, and
     its children append copies of a smaller part, updating e and z by the
-    increments given in graph_totals.
+    increments given in graph_totals.  A parent adds each child's term and
+    recurses only into children that have children of their own; parts of
+    size 1 come last and end a branch, and gcd(1, q) = 1 makes their cross
+    sum the number of cycles already chosen.
     """
     facts = [factorial(k) for k in range(max_degree + 1)]
+    gcds = [[gcd(p, q) for q in range(max_degree + 1)]
+            for p in range(max_degree + 1)]
     sums = [0] * (max_degree + 1)
 
-    def visit(s: int, e: int, z: int, chosen: list, top: int) -> None:
-        sums[s] += (facts[s] // z) << e
-        for p in range(min(top, max_degree - s), 0, -1):
+    def visit(s: int, e: int, z: int, chosen: tuple, top: int,
+              cycles: int) -> None:
+        for p in range(min(top, max_degree - s), 1, -1):
             # each copy of p gains cross, plus p per copy already chosen
-            cross = p // 2 + sum(mq * gcd(p, q) for q, mq in chosen)
+            row = gcds[p]
+            cross = p // 2
+            for q, mq in chosen:
+                cross += mq * row[q]
             m, sp, ep, zp = 0, s, e, z
             while sp + p <= max_degree:
                 m += 1
                 sp += p
                 ep += cross + p * (m - 1)
                 zp *= p * m
-                visit(sp, ep, zp, chosen + [(p, m)], p - 1)
+                sums[sp] += (facts[sp] // zp) << ep
+                if sp < max_degree:
+                    visit(sp, ep, zp, chosen + ((p, m),), p - 1, cycles + m)
+        m, sp, ep, zp = 0, s, e, z
+        while sp < max_degree:
+            m += 1
+            sp += 1
+            ep += cycles + m - 1
+            zp *= m
+            sums[sp] += (facts[sp] // zp) << ep
 
-    visit(0, 0, 1, [], max_degree)
+    sums[0] = 1
+    visit(0, 0, 1, (), max_degree, 0)
     return sums
 
 

@@ -8,12 +8,11 @@ from them and the inversion coefficients of the totals sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .counting import SignedSequence
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, read_only
 
 
 def _normalize(coeffs) -> tuple[Fraction, ...]:
@@ -23,14 +22,25 @@ def _normalize(coeffs) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class RationalPolynomial:
     """Polynomial with Fraction coefficients, ascending by degree."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "coeffs", _normalize(coeffs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"RationalPolynomial(coeffs={self.coeffs!r})"
 
     @classmethod
     def constant(cls, c) -> "RationalPolynomial":

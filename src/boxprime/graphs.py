@@ -10,10 +10,9 @@ over all vertex relabelings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, total_ordering
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, read_only
 
 DEFAULT_CANON_CAP = 24
 DEFAULT_ENUM_CAP = 8
@@ -39,18 +38,40 @@ def pair_bit(i: int, j: int, n: int) -> int:
     return 1 << (_pair_count(n) - 1 - _pair_rank(i, j, n))
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Graph:
-    """Simple graph on vertices 0..n-1 with packed upper-triangular edges."""
+    """Simple graph on vertices 0..n-1 with packed upper-triangular edges.
 
-    n: int
-    bits: int = 0
+    An immutable value: equal, hashed and ordered by (n, bits).
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 0:
             raise DomainError("vertex count must be nonnegative")
-        if self.bits < 0 or self.bits.bit_length() > _pair_count(self.n):
-            raise DomainError(f"edge bits out of range for order {self.n}")
+        if bits < 0 or bits.bit_length() > _pair_count(n):
+            raise DomainError(f"edge bits out of range for order {n}")
+        # __setattr__ refuses every field, so they go straight to __dict__
+        fields = self.__dict__
+        fields["n"] = n
+        fields["bits"] = bits
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bits) == (other.n, other.bits)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bits) < (other.n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, bits={self.bits!r})"
 
     @cached_property
     def rows(self) -> tuple[int, ...]:

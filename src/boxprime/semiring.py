@@ -10,9 +10,8 @@ generated by complete graphs under disjoint union and cartesian product.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cache
 from math import comb
 
 from .counting import (CountSequence, _as_integer, count_graphs_polya,
@@ -30,13 +29,18 @@ EVEN_HORIZON = 8
 HAMMING_HORIZON = 64
 
 
-@dataclass(frozen=True)
-class SemiringInstance:
+class SemiringInstance(namedtuple(
+        "SemiringInstance",
+        "name add_horizon enum_horizon count_all count_connected "
+        "count_primes member_rule prime_rule unique_factorization",
+        defaults=(False,))):
     """One graph family with exact count sequences and membership.
 
-    The count fields map a degree k >= 1 (>= 2 for primes) within the
-    horizon to a count; the rule fields decide membership of a nonempty
-    graph and primality of a connected member of order >= 2.
+    The fields are name, add_horizon and enum_horizon; count_all,
+    count_connected and count_primes, each mapping a degree k >= 1 (>= 2 for
+    primes) within the horizon to a count; member_rule and prime_rule,
+    deciding membership of a nonempty graph and primality of a connected
+    member of order >= 2; and unique_factorization, False by default.
 
     Sequence accessors follow a shared convention: non-integer degrees give
     0 (so vacuous terms in inequality sums vanish), negative degrees are
@@ -50,17 +54,9 @@ class SemiringInstance:
     computed from the prime counts alone.
     """
 
-    name: str
-    add_horizon: int
-    enum_horizon: int
-    count_all: Callable[[int], int]
-    count_connected: Callable[[int], int]
-    count_primes: Callable[[int], int]
-    member_rule: Callable[[Graph], bool]
-    prime_rule: Callable[[Graph], bool]
-    unique_factorization: bool = False
+    __slots__ = ()
 
-    @cached_property
+    @property
     def p(self) -> int:
         """The least degree with a prime."""
         for n in range(2, self.add_horizon + 1):
@@ -147,22 +143,32 @@ def _is_hamming_member(g: Graph) -> bool:
                for f in factor_layers(c))
 
 
+def _window(n: int) -> int:
+    """The least multiple of 8 covering degree n: the all-graphs counts are
+    built to 8, 16 or 24, as far as the first degree asked for needs."""
+    return max(8, -(-n // 8) * 8)
+
+
+@cache
+def _graph_primes(top: int) -> CountSequence:
+    return prime_counts_by_factorization(graph_connected_totals(top), top)
+
+
 def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The semiring of all graphs under disjoint union and cartesian product.
 
     Counting is arithmetic: totals by cycle index, connected counts by the
     Euler inverse, and prime counts from the connected counts by unique
-    factorization.  No graph is built to count anything.
+    factorization.  No graph is built to count anything, and each count
+    window is built when a degree in it is first asked for.
     """
-    connected = graph_connected_totals(ALL_GRAPHS_HORIZON)
-    primes = prime_counts_by_factorization(connected, ALL_GRAPHS_HORIZON)
     return SemiringInstance(
         name="graphs",
         add_horizon=ALL_GRAPHS_HORIZON,
         enum_horizon=enum_cap,
-        count_all=graph_totals(ALL_GRAPHS_HORIZON).at,
-        count_connected=connected.at,
-        count_primes=primes.at,
+        count_all=lambda n: graph_totals(_window(n)).at(n),
+        count_connected=lambda n: graph_connected_totals(_window(n)).at(n),
+        count_primes=lambda n: _graph_primes(_window(n)).at(n),
         member_rule=lambda g: True,
         prime_rule=is_cartesian_prime,
         unique_factorization=True,
@@ -287,12 +293,13 @@ def closure_check(inst: SemiringInstance, n_max: int) -> dict:
 
     Checks every member pair whose union degree (or product degree) is at
     most n_max; reports the first counterexample found, scanning degrees in
-    ascending order.
+    ascending order.  Products with the one-vertex unit are skipped: K1 box
+    G is G itself, so they cannot leave a family.
     """
     for a in range(1, n_max):
         for b in range(a, n_max + 1):
             union_ok = a + b <= n_max
-            product_ok = a * b <= n_max
+            product_ok = a >= 2 and a * b <= n_max
             if not union_ok and not product_ok:
                 continue
             for g1 in inst.members(a):

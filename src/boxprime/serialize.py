@@ -8,7 +8,6 @@ function of the rows, so identical inputs give byte-identical text.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -53,6 +52,7 @@ def json_ready(value):
 
 def rows_to_json(rows, columns=None) -> str:
     """JSON array of row objects, keys in column order, newline terminated."""
+    import json  # only --format json needs it, so a cold CSV run skips it
     rows = list(rows)
     if columns is None:
         columns = list(rows[0].keys()) if rows else []

@@ -44,6 +44,16 @@ def test_census_degenerate_degrees():
     assert result.stdout == "n,S,S_plus,S_box\n0,1,,\n1,1,1,0\n"
 
 
+def test_cold_import_leaves_out_dataclasses_and_json():
+    # every cold process pays for its imports; only --format json needs json
+    code = ("import sys, boxprime.cli; "
+            "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ), timeout=60)
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"
+
+
 def test_census_json_uses_decimal_strings():
     result = run_cli("census", "--instance", "graphs", "--n", "4",
                      "--format", "json")

@@ -214,6 +214,28 @@ def test_count_sequence_validation():
         CountSequence.totals((1, -1))
 
 
+def test_sequences_are_immutable_values():
+    a = CountSequence.totals((1, Fraction(3), 5.0))
+    assert a.values == (1, 3, 5)
+    assert all(type(v) is int for v in a.values)
+    assert a == CountSequence((1, 3, 5)) and hash(a) == hash(CountSequence((1, 3, 5)))
+    assert a != CountSequence((1, 3, 5), 1) and a != CountSequence((1, 3))
+    assert repr(a) == "CountSequence(values=(1, 3, 5), offset=0)"
+    b = SignedSequence([-1, 0, 2])
+    assert b == SignedSequence((-1, 0, 2), 1) and hash(b) == hash(SignedSequence((-1, 0, 2)))
+    assert b != SignedSequence((-1, 0, 2), 0)
+    assert repr(b) == "SignedSequence(values=(-1, 0, 2), offset=1)"
+    # equal windows of different types are different values
+    assert CountSequence((1, 3), 1) != SignedSequence((1, 3), 1)
+    assert a != (1, 3, 5)
+    for seq in (a, b):
+        for field in ("values", "offset"):
+            with pytest.raises(AttributeError):
+                setattr(seq, field, ())
+            with pytest.raises(AttributeError):
+                delattr(seq, field)
+
+
 def test_signed_sequence_window():
     b = SignedSequence((-1, 0, 2))
     assert b.at(1) == -1 and b.at(3) == 2

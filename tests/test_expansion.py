@@ -46,6 +46,19 @@ def test_polynomial_normalization():
     assert poly([1, 2, 3]).degree == 2
 
 
+def test_polynomial_is_an_immutable_value():
+    p = RationalPolynomial((1, Fraction(1, 2), 0))
+    assert p == poly([2, 1], 2) and hash(p) == hash(poly([2, 1], 2))
+    assert p != poly([1]) and p != (Fraction(1), Fraction(1, 2))
+    assert repr(p) == "RationalPolynomial(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    assert 3 * p == p * 3 == poly([6, 3], 2)
+    # no tuple arithmetic behind the polynomial's back
+    with pytest.raises((AttributeError, TypeError)):
+        p + ()
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
 def test_total_series_table():
     assert total_series_polynomial(0) == poly([1])
     assert total_series_polynomial(1) == poly([-1, 1])

@@ -123,6 +123,32 @@ def test_canonical_cap():
         canonical_form(empty_graph(25))
 
 
+def test_graph_is_an_ordered_immutable_value():
+    a, c = Graph(3, 5), Graph(3, 6)
+    assert a == Graph(3, 5) and hash(a) == hash(Graph(3, 5)) and a != c
+    assert a != (3, 5) and len({a, Graph(3, 5), c}) == 2
+    assert sorted([Graph(4, 0), c, a, Graph(2, 1)]) == \
+        [Graph(2, 1), a, c, Graph(4, 0)]
+    assert a < c <= Graph(3, 6) and Graph(4, 0) > c >= a
+    with pytest.raises(TypeError):
+        a < (3, 6)
+    assert repr(a) == "Graph(n=3, bits=5)" and repr(Graph(2)) == "Graph(n=2, bits=0)"
+    for field in ("n", "bits", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1)
+    with pytest.raises(AttributeError):
+        del a.n
+    assert (a.n, a.bits) == (3, 5)
+    assert a.rows is a.rows
+
+
+def test_graph_from_rows_keeps_its_rows(monkeypatch):
+    rows = path_graph(4).rows
+    monkeypatch.setattr(graphs_module, "_mirror", None)
+    g = graphs_module._graph_from_rows(4, rows)
+    assert g == path_graph(4) and g.rows is rows
+
+
 @given(graph_with_permutation(max_n=7))
 def test_isomorphism_accepts_relabelings(gp):
     g, perm = gp

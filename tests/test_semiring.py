@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from boxprime import factor, graphs, semiring
+from boxprime import counting, factor, graphs, semiring
 from boxprime.counting import CountSequence, euler_transform
 from boxprime.errors import CapacityError, DomainError
 from boxprime.factor import is_cartesian_prime
@@ -190,6 +190,63 @@ def test_closure(even_instance, hamming_instance):
     assert result["closed"] is True
     result = closure_check(hamming_instance, 6)
     assert result["closed"] is True
+
+
+def test_closure_check_skips_products_with_the_unit(monkeypatch):
+    # K1 box G is G, so no product pair needs the members of order n_max
+    walked = []
+    enumerate_order = graphs._enumerate
+
+    def recorded(n):
+        walked.append(n)
+        return enumerate_order(n)
+
+    monkeypatch.setattr(graphs, "_enumerate", recorded)
+    assert closure_check(build_instance("graphs"), 8)["closed"] is True
+    assert walked and max(walked) <= 7
+
+
+def _record_cycle_index_walks(monkeypatch) -> list:
+    """Clear the count windows and record the order of every later walk."""
+    walked = []
+    walk = counting._cycle_index_sums
+
+    def recorded(max_degree):
+        walked.append(max_degree)
+        return walk(max_degree)
+
+    monkeypatch.setattr(counting, "_cycle_index_sums", recorded)
+    for cached in (counting.graph_totals, counting.graph_connected_totals,
+                   semiring._graph_primes):
+        cached.cache_clear()
+    return walked
+
+
+def test_graphs_instance_counts_only_as_far_as_asked(monkeypatch):
+    walked = _record_cycle_index_walks(monkeypatch)
+    inst = instance_all_graphs()
+    assert walked == []
+    rows = [(inst.S(n), inst.S_plus(n), inst.S_box(n)) for n in range(2, 16)]
+    assert walked and max(walked) <= 16
+    assert rows[:7] == list(zip(GRAPH_TOTALS[2:], GRAPH_CONNECTED[1:],
+                                GRAPH_PRIMES))
+
+
+def test_graphs_instance_sweep_walks_each_window_once(monkeypatch):
+    walked = _record_cycle_index_walks(monkeypatch)
+    inst = instance_all_graphs()
+    for n in range(1, 25):
+        inst.S(n), inst.S_plus(n), inst.S_box(n)
+    assert walked == [8, 16, 24]
+    with pytest.raises(CapacityError):
+        inst.S_box(25)
+
+
+def test_instance_fields_are_read_only(graphs_instance):
+    with pytest.raises(AttributeError):
+        graphs_instance.name = "other"
+    assert graphs_instance.unique_factorization is True
+    assert build_instance("even").unique_factorization is False
 
 
 def test_build_instance_rejects_unknown_name():
