@@ -30,7 +30,7 @@ from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
 from .factor import check_order, factorize
 from .graph6 import encode_graph6, graph6_order, parse_graph6
-from .graphs import DEFAULT_ENUM_CAP
+from .graphs import DEFAULT_ENUM_CAP, check_enumeration
 from .functions import REGISTRY, population_stats
 from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
                        monotonicity_report, self_complementary_identity)
@@ -142,7 +142,7 @@ def cmd_wright(args) -> int:
         raise DomainError("truncation order R must be positive")
     top = ns[-1]
     totals = graph_totals(top)
-    coeffs = inversion_coefficients(totals, max(order, 1))
+    coeffs = inversion_coefficients(totals, order)
     polys = [connected_series_polynomial(s, coeffs) for s in range(order)]
     rows = expansion_error_report(graph_connected_totals(top), polys, ns, order)
     emit(rows, ["n", "R", "truncated", "true", "remainder", "bound", "ratio"],
@@ -203,6 +203,10 @@ def cmd_semiring(args) -> int:
         }]
         columns = ["instance", "n_max", "closed", "operation", "left", "right"]
     elif args.self_complementary:
+        # every degree up to n_max is enumerated: refuse the first one past
+        # the cap before enumerating any
+        for n in range(1, args.n_max + 1):
+            check_enumeration(n, args.enum_cap)
         rows = []
         for n in range(1, args.n_max + 1):
             lhs, rhs, equal = self_complementary_identity(n, cap=args.enum_cap)

@@ -19,8 +19,9 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import CapacityError, DomainError
-from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
-                     empty_graph, induced_subgraph, is_connected)
+from .graphs import (Graph, _reach, canonical_form, canonical_key,
+                     cartesian_product, empty_graph, induced_subgraph,
+                     is_connected)
 
 # largest order factorized; the 8-cube has 256 vertices
 ORDER_LIMIT = 256
@@ -142,29 +143,17 @@ def _layer_masks(g: Graph) -> list[int]:
             if classes == 1:
                 return [full]
 
-    # the layer of each class through vertex 0, ordered by the smallest
-    # neighbour of vertex 0 in it
-    out = []
-    roots = []
+    # every class has edges at vertex 0: its layer through vertex 0 is
+    # reached along the class's edges, and the classes are ordered by the
+    # smallest neighbour of vertex 0 in each
+    class_rows = {}
     for w in _bits_of(rows[0]):
-        root = find(eid[w])
-        if root in roots:
-            continue
-        roots.append(root)
-        class_rows = [0] * n
-        for e, (u, v) in enumerate(edges):
-            if find(e) == root:
-                class_rows[u] |= 1 << v
-                class_rows[v] |= 1 << u
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            for v in _bits_of(frontier):
-                reach |= class_rows[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        out.append(seen)
-    return out
+        class_rows.setdefault(find(eid[w]), [0] * n)
+    for e, (u, v) in enumerate(edges):
+        cr = class_rows[find(e)]
+        cr[u] |= 1 << v
+        cr[v] |= 1 << u
+    return [_reach(cr, 0) for cr in class_rows.values()]
 
 
 def check_order(n: int) -> None:

@@ -8,22 +8,22 @@ n <= 62, or '~' followed by three characters for n up to 258047.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import CapacityError, ParseError
-from .graphs import Graph, _graph_from_rows, _mirror, _pair_count
+from .graphs import Graph, _graph_from_rows, _mirror, _pair_count, _pair_rank
 
 GRAPH6_MAX_ORDER = 258047
 _PREFIX = ">>graph6<<"
 # each body character to its six bits; any other character stays one long
 _SIXBITS = str.maketrans({chr(v + 63): format(v, "06b") for v in range(64)})
+_SIXCHARS = {format(v, "06b"): chr(v + 63) for v in range(64)}
 
 
-def _column_major_bits(g: Graph) -> list[int]:
-    bits = []
-    for j in range(1, g.n):
-        col = g.rows[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    return bits
+@lru_cache(maxsize=32)
+def _column_major_ranks(n: int) -> tuple[int, ...]:
+    """Row-major rank of each pair of an order-n graph, in graph6 order."""
+    return tuple(_pair_rank(i, j, n) for j in range(1, n) for i in range(j))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -35,16 +35,12 @@ def encode_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = _column_major_bits(g)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k:k + 6]:
-            group = (group << 1) | b
-        body.append(chr(group + 63))
-    return head + "".join(body)
+    m = _pair_count(n)
+    # the packed vector's bit string holds the pair of rank r at index r
+    text = format(g.bits, f"0{m}b")
+    bits = "".join(map(text.__getitem__, _column_major_ranks(n)))
+    bits += "0" * (-m % 6)
+    return head + "".join(_SIXCHARS[bits[k:k + 6]] for k in range(0, m, 6))
 
 
 def _read_order(text: str) -> tuple[int, int]:

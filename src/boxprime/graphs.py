@@ -209,12 +209,9 @@ def cartesian_product(g1: Graph, g2: Graph, cap: int = DEFAULT_CANON_CAP) -> Gra
     return from_edges(n, edges)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        raise DomainError("connectivity is undefined for the empty graph")
-    rows = g.rows
-    seen = 1
-    frontier = 1
+def _reach(rows, start: int) -> int:
+    """Mask of the vertices reachable from vertex start along the rows."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
         while frontier:
@@ -222,8 +219,14 @@ def is_connected(g: Graph) -> bool:
             frontier ^= low
             nxt |= rows[low.bit_length() - 1]
         frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << g.n) - 1
+        seen |= frontier
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    if g.n == 0:
+        raise DomainError("connectivity is undefined for the empty graph")
+    return _reach(g.rows, 0) == (1 << g.n) - 1
 
 
 def _component_masks(g: Graph) -> list[int]:
@@ -231,19 +234,8 @@ def _component_masks(g: Graph) -> list[int]:
     left = (1 << g.n) - 1
     comps = []
     while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nxt |= rows[low.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= nxt
-        comps.append(seen)
-        left &= ~seen
+        comps.append(_reach(rows, (left & -left).bit_length() - 1))
+        left &= ~comps[-1]
     return comps
 
 
@@ -377,7 +369,16 @@ def _enumerate(n: int) -> tuple[Graph, ...]:
     seen = set()
     for parent in _enumerate(n - 1):
         prows = parent.rows
+        # every graph arises by adding a least-degree vertex, so each parent
+        # vertex must end with degree at least |s|: |s| may exceed the least
+        # parent degree by one only if every least-degree vertex is in s
+        degrees = [row.bit_count() for row in prows]
+        least = min(degrees, default=0)
+        weakest = sum(1 << i for i, d in enumerate(degrees) if d == least)
         for s in range(1 << (n - 1)):
+            k = s.bit_count()
+            if k > least and (k > least + 1 or s & weakest != weakest):
+                continue
             rows = list(prows)
             rows.append(s)
             t = s
@@ -394,17 +395,23 @@ def _enumerate_connected(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in _enumerate(n) if is_connected(g))
 
 
+def check_enumeration(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Refuse an enumeration of order n above cap, before any work."""
+    if n > cap:
+        raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")
+
+
 def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
     """All unlabeled graphs of order n, canonical and sorted by key.
 
     Every isomorphism class of order n contains a one-vertex extension of a
-    canonical graph of order n-1, so augmenting each parent with every
-    neighbor subset and canonicalizing covers the class list.
+    canonical graph of order n-1 by a vertex of least degree, so augmenting
+    each parent with every neighbor subset that keeps the new vertex of
+    least degree and canonicalizing covers the class list.
     """
     if n < 0:
         raise DomainError("order must be nonnegative")
-    if n > cap:
-        raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")
+    check_enumeration(n, cap)
     return _enumerate(n)
 
 
@@ -412,6 +419,5 @@ def enumerate_connected(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...
     """Connected unlabeled graphs of order n, canonical and sorted by key."""
     if n < 1:
         raise DomainError("connected enumeration needs order >= 1")
-    if n > cap:
-        raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")
+    check_enumeration(n, cap)
     return _enumerate_connected(n)

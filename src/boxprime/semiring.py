@@ -20,9 +20,9 @@ from .counting import (CountSequence, _as_integer, count_graphs_polya,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
 from .factor import factor_layers, is_cartesian_prime
-from .graphs import (DEFAULT_ENUM_CAP, Graph, canonical_key,
-                     cartesian_product, complement, connected_components,
-                     disjoint_union, enumerate_graphs, is_connected)
+from .graphs import (DEFAULT_ENUM_CAP, Graph, _component_masks, canonical_key,
+                     cartesian_product, complement, disjoint_union,
+                     enumerate_graphs, induced_subgraph, is_connected)
 
 ALL_GRAPHS_HORIZON = 24
 EVEN_HORIZON = 8
@@ -101,12 +101,16 @@ class SemiringInstance(namedtuple(
             return True
         return self.member_rule(g)
 
-    def members(self, n: int) -> tuple[Graph, ...]:
-        """All members of degree n, canonical and sorted."""
+    def check_members(self, n: int) -> None:
+        """Refuse member enumeration at degree n beyond the horizon."""
         if n > self.enum_horizon:
             raise CapacityError(
                 f"{self.name}: member enumeration at {n} beyond horizon "
                 f"{self.enum_horizon}")
+
+    def members(self, n: int) -> tuple[Graph, ...]:
+        """All members of degree n, canonical and sorted."""
+        self.check_members(n)
         return self._members(n)
 
     @cache
@@ -139,8 +143,8 @@ def is_complete(g: Graph) -> bool:
 
 def _is_hamming_member(g: Graph) -> bool:
     """Whether every component is a product of complete graphs."""
-    return all(is_complete(f) for c in connected_components(g)
-               for f in factor_layers(c))
+    return all(is_complete(f) for m in _component_masks(g)
+               for f in factor_layers(induced_subgraph(g, m)))
 
 
 def _window(n: int) -> int:
@@ -294,8 +298,12 @@ def closure_check(inst: SemiringInstance, n_max: int) -> dict:
     Checks every member pair whose union degree (or product degree) is at
     most n_max; reports the first counterexample found, scanning degrees in
     ascending order.  Products with the one-vertex unit are skipped: K1 box
-    G is G itself, so they cannot leave a family.
+    G is G itself, so they cannot leave a family.  Unions with K1 reach
+    every degree below n_max, so the first one beyond the enumeration
+    horizon is refused before any member is enumerated.
     """
+    for n in range(1, n_max):
+        inst.check_members(n)
     for a in range(1, n_max):
         for b in range(a, n_max + 1):
             union_ok = a + b <= n_max

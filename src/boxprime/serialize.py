@@ -36,17 +36,11 @@ def rows_to_csv(rows, columns=None) -> str:
 
 
 def json_ready(value):
-    """Recursively convert a value into JSON-safe primitives."""
-    if value is None or isinstance(value, bool):
+    """One row cell as a JSON-safe primitive."""
+    if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_ready(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -391,3 +391,42 @@ def induced_subgraph_by_edges(g: Graph, vertex_mask: int) -> Graph:
     return from_edges(len(verts), [(a, b) for a in range(len(verts))
                                    for b in range(a + 1, len(verts))
                                    if g.has_edge(verts[a], verts[b])])
+
+
+def encode_graph6_by_bit_list(g: Graph) -> str:
+    """graph6 string built from the neighbour rows one bit at a time:
+    column j lists rows 0..j-1, zero-padded to six-bit groups."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits = []
+    for j in range(1, n):
+        col = g.rows[j]
+        for i in range(j):
+            bits.append((col >> i) & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for k in range(0, len(bits), 6):
+        group = 0
+        for b in bits[k:k + 6]:
+            group = (group << 1) | b
+        body.append(chr(group + 63))
+    return head + "".join(body)
+
+
+@cache
+def enumerate_by_all_subsets(n: int) -> tuple[Graph, ...]:
+    """Canonical graphs of order n: every neighbour subset added to every
+    canonical graph of order n - 1, canonicalized and deduplicated."""
+    if n == 0:
+        return (Graph(0, 0),)
+    seen = set()
+    for parent in enumerate_by_all_subsets(n - 1):
+        for s in range(1 << (n - 1)):
+            edges = parent.edges()
+            edges.extend((i, n - 1) for i in range(n - 1) if (s >> i) & 1)
+            seen.add(canonical_form(from_edges(n, edges)).bits)
+    return tuple(Graph(n, b) for b in sorted(seen))

@@ -39,3 +39,38 @@ def test_unused_import_check_sees_leftovers():
     assert _unused_imports("from x import a, b\nimport c.d\nprint(a)\n") \
         == ["b (line 1)", "c (line 2)"]
     assert _unused_imports("from __future__ import annotations\n") == []
+
+
+def _unread_private_definitions(sources: dict) -> list[str]:
+    """Module-level private functions and classes that no module reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.extend((module, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and node.name.startswith("_")
+                       and not node.name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_every_private_definition_is_read():
+    package = Path(boxprime.__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    assert _unread_private_definitions(sources) == []
+
+
+def test_unread_private_check_sees_leftovers():
+    sources = {"a.py": "def _f(): pass\ndef _g(): pass\nclass _C: pass\n"
+                       "def __getattr__(name): pass\ndef h(): pass\n",
+               "b.py": "from a import _g\nimport a\na._C()\n"}
+    assert _unread_private_definitions(sources) == ["a.py: _f"]

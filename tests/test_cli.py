@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from boxprime import cli, counting, graph6
+from boxprime import cli, counting, graph6, graphs
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (cartesian_product, complete_graph,
                              disjoint_union, path_graph)
@@ -225,6 +225,29 @@ def test_wright_cycle_index_cap_is_checked_before_the_walk(monkeypatch,
     monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
     assert cli.main(["wright", "--R", "1", "--n", "9..33"]) == 2
     assert capsys.readouterr().err.startswith("capacity: cycle-index")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # unions with K1 reach order n_max - 1; the first order past the cap
+    # is named, as a walk in ascending order would meet it
+    (["--closure", "--n-max", "10"],
+     "graphs: member enumeration at 9 beyond horizon 8"),
+    (["--closure", "--instance", "hamming", "--n-max", "12"],
+     "hamming: member enumeration at 9 beyond horizon 8"),
+    (["--closure", "--instance", "even", "--n-max", "9", "--enum-cap", "5"],
+     "even: member enumeration at 6 beyond horizon 5"),
+    (["--self-complementary", "--n-max", "9"],
+     "enumeration of order 9 exceeds cap 8"),
+    (["--self-complementary", "--n-max", "10", "--enum-cap", "6"],
+     "enumeration of order 7 exceeds cap 6"),
+])
+def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
+                                                       argv, err):
+    walked = []
+    monkeypatch.setattr(graphs, "_enumerate", walked.append)
+    assert cli.main(["semiring", *argv]) == 2
+    assert capsys.readouterr() == ("", f"capacity: {err}\n")
+    assert walked == []
 
 
 def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):

@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from boxprime import graphs as graphs_module
 from boxprime.errors import CapacityError, ParseError
 from boxprime.graph6 import encode_graph6, parse_graph6
 from boxprime.graphs import (Graph, canonical_form, complete_graph,
                              cycle_graph, empty_graph, enumerate_graphs,
-                             path_graph)
+                             path_graph, relabel)
+from _oracles import encode_graph6_by_bit_list
 
 
 @st.composite
@@ -58,6 +60,30 @@ def test_encoding_is_injective_per_order(n, seed):
     g1 = Graph(n, seed % (1 << m))
     g2 = Graph(n, (seed * 31 + 7) % (1 << m))
     assert (encode_graph6(g1) == encode_graph6(g2)) == (g1 == g2)
+
+
+@given(st.integers(0, 90), st.integers(0, 1 << 64))
+def test_encoding_matches_the_bit_list_encoder(n, seed):
+    g = Graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
+    expected = encode_graph6_by_bit_list(Graph(n, g.bits))
+    assert encode_graph6(g) == expected
+    # a graph that already holds its rows encodes the same
+    with_rows = graphs_module._graph_from_rows(n, Graph(n, g.bits).rows)
+    assert encode_graph6(with_rows) == expected
+
+
+def test_encoding_a_canonical_form_decodes_no_rows(monkeypatch):
+    # a canonical form carries only its packed vector
+    g = relabel(cycle_graph(7), (3, 6, 0, 5, 1, 4, 2))
+    expected = encode_graph6_by_bit_list(canonical_form(g))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rows were decoded")
+
+    graphs_module._canonical_bits_for.cache_clear()
+    canonical = canonical_form(g)
+    monkeypatch.setattr(graphs_module, "_mirror", forbidden)
+    assert encode_graph6(canonical) == expected
 
 
 def test_header_prefix_accepted():

@@ -13,7 +13,8 @@ from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              enumerate_connected, enumerate_graphs,
                              from_edges, induced_subgraph, is_connected,
                              path_graph, relabel, star_graph)
-from _oracles import exhaustive_minimum_bits, induced_subgraph_by_edges
+from _oracles import (enumerate_by_all_subsets, exhaustive_minimum_bits,
+                      induced_subgraph_by_edges)
 
 TOTAL_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -168,6 +169,25 @@ def test_enumeration_counts():
         assert len(enumerate_connected(n)) == expect, n
     with pytest.raises(DomainError):
         enumerate_connected(0)
+
+
+def test_least_degree_extensions_match_all_subsets():
+    for n in range(8):
+        assert enumerate_graphs(n) == enumerate_by_all_subsets(n), n
+
+
+def test_enumeration_canonicalizes_only_least_degree_extensions(monkeypatch):
+    added_is_least = []
+    canonical_bits = graphs_module._canonical_bits
+
+    def recorded(n, rows):
+        degrees = [row.bit_count() for row in rows]
+        added_is_least.append(degrees[-1] == min(degrees))
+        return canonical_bits(n, rows)
+
+    monkeypatch.setattr(graphs_module, "_canonical_bits", recorded)
+    assert graphs_module._enumerate.__wrapped__(7) == enumerate_by_all_subsets(7)
+    assert added_is_least and all(added_is_least)
 
 
 def test_enumeration_is_sorted_and_canonical():

@@ -206,6 +206,22 @@ def test_closure_check_skips_products_with_the_unit(monkeypatch):
     assert walked and max(walked) <= 7
 
 
+def test_hamming_membership_canonicalizes_no_component(hamming_instance,
+                                                       monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a component was canonicalized")
+
+    k2, k3 = complete_graph(2), complete_graph(3)
+    rook = cartesian_product(k3, k3)
+    member = disjoint_union(disjoint_union(rook, empty_graph(1)),
+                            cartesian_product(k2, k3))
+    outsider = disjoint_union(rook, cycle_graph(5))
+    graphs._canonical_bits_for.cache_clear()
+    monkeypatch.setattr(graphs, "_canonical_bits", forbidden)
+    assert hamming_instance.is_member(member)
+    assert not hamming_instance.is_member(outsider)
+
+
 def _record_cycle_index_walks(monkeypatch) -> list:
     """Clear the count windows and record the order of every later walk."""
     walked = []
