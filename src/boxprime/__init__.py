@@ -26,7 +26,7 @@ from .graph6 import encode_graph6, parse_graph6
 from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
                      complete_graph, cycle_graph, disjoint_union, empty_graph,
                      enumerate_connected, enumerate_graphs, is_connected,
-                     path_graph, star_graph)
+                     path_graph, relabel, star_graph)
 from .semiring import (SemiringInstance, build_instance, closure_check,
                        instance_all_graphs, instance_even_edge,
                        instance_hamming, monotonicity_report,
@@ -39,7 +39,7 @@ __all__ = [
     "Graph", "canonical_form", "canonical_key",
     "cartesian_product", "complete_graph", "cycle_graph", "disjoint_union",
     "empty_graph", "enumerate_connected", "enumerate_graphs", "is_connected",
-    "path_graph", "star_graph",
+    "path_graph", "relabel", "star_graph",
     "encode_graph6", "parse_graph6",
     "CountSequence", "SignedSequence", "count_graphs_polya",
     "euler_inverse", "euler_transform", "graph_connected_totals",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import partial
 
 from .bounds import (additive_gap_sandwich, cut_bound,
                      growth_ratio_diagnostics, leading_term_check,
@@ -31,7 +32,7 @@ from .expansion import connected_series_polynomial, expansion_error_report
 from .factor import check_order, factorize
 from .graph6 import encode_graph6, graph6_order, parse_graph6
 from .graphs import DEFAULT_ENUM_CAP, check_enumeration
-from .functions import REGISTRY, population_stats
+from .functions import REGISTRY, population_horizon, population_stats
 from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
                        monotonicity_report, self_complementary_identity)
 from .serialize import rows_to_csv, rows_to_json
@@ -77,10 +78,21 @@ def emit(rows, columns, args) -> None:
     write_text(text, args.out)
 
 
+def _refuse_past(ns: range, top: int, answer, below: int = 0) -> None:
+    """Ask answer for the first degree of ns past top, before any work below
+    it; degrees under `below` may fail on their own, so they go first."""
+    if ns[-1] > top:
+        for n in range(ns[0], min(below, top + 1)):
+            answer(n)
+        answer(max(ns[0], top + 1))
+
+
 def cmd_census(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
+    ns = parse_degree_range(args.n)
+    _refuse_past(ns, inst.add_horizon, inst.S)
     rows = []
-    for n in parse_degree_range(args.n):
+    for n in ns:
         # the empty graph is a member but has no connectivity or primality
         if n == 0:
             rows.append({"n": n, "S": inst.S(0), "S_plus": None, "S_box": None})
@@ -179,8 +191,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_functions(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    rows = [population_stats(args.fn, inst, n, args.population)
-            for n in parse_degree_range(args.n)]
+    ns = parse_degree_range(args.n)
+    stats = partial(population_stats, args.fn, inst, population=args.population)
+    # degree 1 has no prime, so the mult population refuses it
+    _refuse_past(ns, population_horizon(args.fn, inst, args.population), stats,
+                 below=2)
+    rows = [stats(n) for n in ns]
     emit(rows, ["n", "population", "count", "sum", "mean", "variance", "max"],
          args)
     return 0

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import CapacityError, DomainError
-from .graphs import (Graph, _reach, canonical_form, canonical_key,
+from .graphs import (Graph, _layers, canonical_form, canonical_key,
                      cartesian_product, empty_graph, induced_subgraph,
                      is_connected)
 
@@ -41,24 +41,7 @@ def _bits_of(mask: int):
 def _distance_layers(rows) -> list[list[int]]:
     """Breadth-first layers from every vertex: entry [u][k] masks the
     vertices at distance k from u."""
-    out = []
-    for u in range(len(rows)):
-        seen = frontier = 1 << u
-        layers = [frontier]
-        while True:
-            reach = 0
-            left = frontier
-            while left:
-                low = left & -left
-                left ^= low
-                reach |= rows[low.bit_length() - 1]
-            frontier = reach & ~seen
-            if not frontier:
-                break
-            seen |= frontier
-            layers.append(frontier)
-        out.append(layers)
-    return out
+    return [_layers(rows, u) for u in range(len(rows))]
 
 
 def _layer_masks(g: Graph) -> list[int]:
@@ -153,7 +136,7 @@ def _layer_masks(g: Graph) -> list[int]:
         cr = class_rows[find(e)]
         cr[u] |= 1 << v
         cr[v] |= 1 << u
-    return [_reach(cr, 0) for cr in class_rows.values()]
+    return [sum(_layers(cr, 0)) for cr in class_rows.values()]
 
 
 def check_order(n: int) -> None:

@@ -149,6 +149,21 @@ def _over_members(rule, inst: SemiringInstance, n: int, plus, weight):
     return series[n]
 
 
+def _by_arithmetic(rule, inst: SemiringInstance, population: str) -> bool:
+    # unique factorization gives every multiplicative function from the
+    # prime counts, and a prime shares a factor only with itself
+    return inst.unique_factorization and (rule is not None
+                                          or population == "mult")
+
+
+def population_horizon(name: str, inst: SemiringInstance,
+                       population: str) -> int:
+    """The last degree population_stats answers on its path."""
+    if _by_arithmetic(_rule(name), inst, population):
+        return inst.add_horizon
+    return inst.enum_horizon
+
+
 def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
                               population: str) -> tuple:
     """count, sum, sum of squares and maximum from the prime counts alone;
@@ -158,7 +173,8 @@ def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
             raise DomainError(
                 "the one-vertex unit is neither prime nor composite")
         # a prime of degree n is its own factorization, exponent 1
-        count, value = inst.S_box(n), rule(n, 1)
+        count = inst.S_box(n)
+        value = inst.S_plus(n) - 1 if rule is None else rule(n, 1)
         return count, count * value, count * value * value, value
     return (inst.S_plus(n),
             _over_members(rule, inst, n, add, comb),
@@ -172,15 +188,16 @@ def population_stats(name: str, inst: SemiringInstance, n: int,
     population of degree n.  An empty population flags the moment columns
     as None instead of failing.
 
-    Multiplicative functions on a family with unique factorization are
-    computed from the prime counts, to the instance horizon; the
-    coprimality count and the other families enumerate the population.
+    On a family with unique factorization, multiplicative functions and
+    the coprimality count over the primes are computed from the prime
+    counts, to the instance horizon; the coprimality count over connected
+    members and the other families enumerate the population.
     """
     rule = _rule(name)
     if population not in ("add", "mult"):
         raise DomainError(
             f"unknown population {population!r}; use 'add' or 'mult'")
-    if rule is not None and inst.unique_factorization:
+    if _by_arithmetic(rule, inst, population):
         count, total, squares, top = _moments_by_factorization(
             rule, inst, n, population)
     else:

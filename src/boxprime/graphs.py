@@ -27,15 +27,15 @@ def _pair_rank(i: int, j: int, n: int) -> int:
     return i * (2 * n - i - 3) // 2 + j - 1
 
 
-def pair_bit(i: int, j: int, n: int) -> int:
-    """Packed-vector bit for the unordered pair {i, j} of an order-n graph."""
+def _ordered_pair(i: int, j: int, n: int) -> tuple[int, int]:
+    """The unordered pair {i, j} of an order-n graph, smaller end first."""
     if i == j:
         raise DomainError("self loops are not representable")
     if i > j:
         i, j = j, i
     if not 0 <= i < j < n:
         raise DomainError(f"pair ({i}, {j}) out of range for order {n}")
-    return 1 << (_pair_count(n) - 1 - _pair_rank(i, j, n))
+    return i, j
 
 
 @total_ordering
@@ -92,19 +92,12 @@ class Graph:
         return self.bits.bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.bits & pair_bit(i, j, self.n))
+        i, j = _ordered_pair(i, j, self.n)
+        return bool(self.rows[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        n = self.n
-        out = []
-        pos = _pair_count(n) - 1
-        bits = self.bits
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (bits >> pos) & 1:
-                    out.append((i, j))
-                pos -= 1
-        return out
+        return [(i, j) for i, row in enumerate(self.rows)
+                for j in range(i + 1, self.n) if row >> j & 1]
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((m.bit_count() for m in self.rows), reverse=True))
@@ -140,10 +133,12 @@ def _graph_from_rows(n: int, rows: tuple[int, ...]) -> Graph:
 
 def from_edges(n: int, edges) -> Graph:
     """Graph on n vertices with the given edge pairs (duplicates collapse)."""
-    bits = 0
+    rows = [0] * n
     for i, j in edges:
-        bits |= pair_bit(i, j, n)
-    return Graph(n, bits)
+        i, j = _ordered_pair(i, j, n)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return _graph_from_rows(n, tuple(rows))
 
 
 def empty_graph(n: int) -> Graph:
@@ -176,17 +171,18 @@ def relabel(g: Graph, perm) -> Graph:
     """Apply the relabeling old -> perm[old]."""
     if sorted(perm) != list(range(g.n)):
         raise DomainError("relabeling must be a permutation of the vertices")
-    return from_edges(g.n, ((perm[i], perm[j]) for i, j in g.edges()))
+    rows = [0] * g.n
+    for new, row in zip(perm, g.rows):
+        rows[new] = sum(1 << perm[j] for j in range(g.n) if row >> j & 1)
+    return _graph_from_rows(g.n, tuple(rows))
 
 
-def disjoint_union(g1: Graph, g2: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
-    if n > cap:
-        raise CapacityError(f"union of order {n} exceeds cap {cap}")
-    shift = g1.n
-    edges = g1.edges()
-    edges.extend((i + shift, j + shift) for i, j in g2.edges())
-    return from_edges(n, edges)
+    if n > DEFAULT_CANON_CAP:
+        raise CapacityError(
+            f"union of order {n} exceeds cap {DEFAULT_CANON_CAP}")
+    return _graph_from_rows(n, g1.rows + tuple(r << g1.n for r in g2.rows))
 
 
 def cartesian_product(g1: Graph, g2: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
@@ -194,39 +190,41 @@ def cartesian_product(g1: Graph, g2: Graph, cap: int = DEFAULT_CANON_CAP) -> Gra
 
     Vertex (u1, u2) maps to index u1 * g2.n + u2.
     """
-    n = g1.n * g2.n
+    n1, n2 = g1.n, g2.n
+    n = n1 * n2
     if n > cap:
         raise CapacityError(f"product of order {n} exceeds cap {cap}")
-    n2 = g2.n
-    edges = []
-    for a, b in g2.edges():
-        for u in range(g1.n):
-            base = u * n2
-            edges.append((base + a, base + b))
-    for a, b in g1.edges():
-        for u in range(n2):
-            edges.append((a * n2 + u, b * n2 + u))
-    return from_edges(n, edges)
+    rows = []
+    for u, r1 in enumerate(g1.rows):
+        # (u, v) meets (u, w) for w ~ v, and (a, v) for a ~ u
+        across = sum(1 << (a * n2) for a in range(n1) if r1 >> a & 1)
+        rows.extend((r2 << (u * n2)) | (across << v)
+                    for v, r2 in enumerate(g2.rows))
+    return _graph_from_rows(n, tuple(rows))
 
 
-def _reach(rows, start: int) -> int:
-    """Mask of the vertices reachable from vertex start along the rows."""
+def _layers(rows, start: int) -> list[int]:
+    """Breadth-first layers from vertex start along the rows: entry k masks
+    the vertices at distance k."""
     seen = frontier = 1 << start
-    while frontier:
-        nxt = 0
+    layers = [frontier]
+    while True:
+        reach = 0
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            nxt |= rows[low.bit_length() - 1]
-        frontier = nxt & ~seen
+            reach |= rows[low.bit_length() - 1]
+        frontier = reach & ~seen
+        if not frontier:
+            return layers
         seen |= frontier
-    return seen
+        layers.append(frontier)
 
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise DomainError("connectivity is undefined for the empty graph")
-    return _reach(g.rows, 0) == (1 << g.n) - 1
+    return sum(_layers(g.rows, 0)) == (1 << g.n) - 1
 
 
 def _component_masks(g: Graph) -> list[int]:
@@ -234,7 +232,7 @@ def _component_masks(g: Graph) -> list[int]:
     left = (1 << g.n) - 1
     comps = []
     while left:
-        comps.append(_reach(rows, (left & -left).bit_length() - 1))
+        comps.append(sum(_layers(rows, (left & -left).bit_length() - 1)))
         left &= ~comps[-1]
     return comps
 
@@ -258,13 +256,6 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
             row |= 1 << index[low.bit_length() - 1]
         sub.append(row)
     return _graph_from_rows(len(sub), tuple(sub))
-
-
-def connected_components(g: Graph) -> tuple[Graph, ...]:
-    """Canonical components, sorted; the multiset determines g up to isomorphism."""
-    if g.n == 0:
-        return ()
-    return tuple(sorted(canonical_form(induced_subgraph(g, m)) for m in _component_masks(g)))
 
 
 def _canonical_bits(n: int, rows) -> int:
@@ -346,18 +337,19 @@ def _canonical_bits_for(g: Graph) -> int:
     return _canonical_bits(g.n, g.rows)
 
 
-def canonical_form(g: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
+def canonical_form(g: Graph) -> Graph:
     """The isomorph of g with the lexicographically minimal edge bit vector."""
-    if g.n > cap:
-        raise CapacityError(f"canonical form of order {g.n} exceeds cap {cap}")
+    if g.n > DEFAULT_CANON_CAP:
+        raise CapacityError(f"canonical form of order {g.n} exceeds cap "
+                            f"{DEFAULT_CANON_CAP}")
     if g.n <= 1:
         return g
     return Graph(g.n, _canonical_bits_for(g))
 
 
-def canonical_key(g: Graph, cap: int = DEFAULT_CANON_CAP) -> tuple[int, int]:
+def canonical_key(g: Graph) -> tuple[int, int]:
     """(n, canonical bits); equal keys hold exactly for isomorphic graphs."""
-    c = canonical_form(g, cap)
+    c = canonical_form(g)
     return (c.n, c.bits)
 
 
@@ -395,7 +387,7 @@ def _enumerate_connected(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in _enumerate(n) if is_connected(g))
 
 
-def check_enumeration(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+def check_enumeration(n: int, cap: int) -> None:
     """Refuse an enumeration of order n above cap, before any work."""
     if n > cap:
         raise CapacityError(f"enumeration of order {n} exceeds cap {cap}")

@@ -20,15 +20,9 @@ def render_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows, columns=None) -> str:
-    """Header line plus one line per row, newline terminated.
-
-    Columns default to the key order of the first row; every row must
-    supply every column.
-    """
-    rows = list(rows)
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
+def rows_to_csv(rows, columns) -> str:
+    """Header line plus one line per row, newline terminated; every row
+    must supply every column."""
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(render_cell(row[c]) for c in columns))
@@ -44,11 +38,8 @@ def json_ready(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def rows_to_json(rows, columns=None) -> str:
+def rows_to_json(rows, columns) -> str:
     """JSON array of row objects, keys in column order, newline terminated."""
     import json  # only --format json needs it, so a cold CSV run skips it
-    rows = list(rows)
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
     payload = [{c: json_ready(row[c]) for c in columns} for row in rows]
     return json.dumps(payload, indent=2) + "\n"

@@ -17,13 +17,60 @@ from boxprime.errors import CapacityError, DomainError
 from boxprime.functions import evaluate
 from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
                              canonical_key, cartesian_product,
-                             enumerate_connected, from_edges, is_connected,
-                             relabel)
+                             enumerate_connected, is_connected)
+
+
+def _pair_bit(i: int, j: int, n: int) -> int:
+    """Packed-vector bit of the pair {i, j}, i < j: the pairs are ranked in
+    row-major order, the (0, 1) pair at the most significant end."""
+    rank = i * (2 * n - i - 1) // 2 + (j - i - 1)
+    return 1 << (n * (n - 1) // 2 - 1 - rank)
+
+
+def from_edges_by_pair_bits(n: int, edges) -> Graph:
+    """Graph on n vertices with the given edge pairs (i != j), set bit by
+    bit."""
+    bits = 0
+    for i, j in edges:
+        bits |= _pair_bit(min(i, j), max(i, j), n)
+    return Graph(n, bits)
+
+
+def edges_by_pair_bits(g: Graph) -> list[tuple[int, int]]:
+    """Edge pairs in row-major order, read bit by bit off the packed vector."""
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+            if g.bits & _pair_bit(i, j, g.n)]
+
+
+def relabel_by_edges(g: Graph, perm) -> Graph:
+    """g relabelled old -> perm[old], one edge pair at a time."""
+    return from_edges_by_pair_bits(
+        g.n, [(perm[i], perm[j]) for i, j in edges_by_pair_bits(g)])
+
+
+def disjoint_union_by_edges(g1: Graph, g2: Graph) -> Graph:
+    """g1 then g2 shifted past it, one edge pair at a time."""
+    shift = g1.n
+    return from_edges_by_pair_bits(
+        g1.n + g2.n, edges_by_pair_bits(g1)
+        + [(i + shift, j + shift) for i, j in edges_by_pair_bits(g2)])
+
+
+def cartesian_product_by_edges(g1: Graph, g2: Graph) -> Graph:
+    """Box product, vertex (u1, u2) at u1 * g2.n + u2, one edge pair at a
+    time: a g2 edge in every row of g1 vertices, a g1 edge in every column."""
+    n2 = g2.n
+    edges = [(u * n2 + a, u * n2 + b) for a, b in edges_by_pair_bits(g2)
+             for u in range(g1.n)]
+    edges += [(a * n2 + u, b * n2 + u) for a, b in edges_by_pair_bits(g1)
+              for u in range(n2)]
+    return from_edges_by_pair_bits(g1.n * n2, edges)
 
 
 def exhaustive_minimum_bits(g: Graph) -> int:
     """Lexicographically minimal edge bit vector over all relabelings."""
-    return min(relabel(g, perm).bits for perm in permutations(range(g.n)))
+    return min(relabel_by_edges(g, perm).bits
+               for perm in permutations(range(g.n)))
 
 
 def multiplicative_partition_count(n: int) -> int:
@@ -310,7 +357,7 @@ def even_member_composites(n: int) -> frozenset:
 
 
 def _distances_by_bfs(rows) -> list[list[int]]:
-    """All-pairs distances of a connected graph, one BFS per vertex."""
+    """All-pairs distances, one BFS per vertex; -1 between components."""
     n = len(rows)
     out = []
     for u in range(n):
@@ -388,9 +435,10 @@ def induced_subgraph_by_edges(g: Graph, vertex_mask: int) -> Graph:
     """Subgraph on the masked vertices, relabelled in increasing order,
     built edge by edge from the packed vector."""
     verts = [v for v in range(g.n) if (vertex_mask >> v) & 1]
-    return from_edges(len(verts), [(a, b) for a in range(len(verts))
-                                   for b in range(a + 1, len(verts))
-                                   if g.has_edge(verts[a], verts[b])])
+    return from_edges_by_pair_bits(
+        len(verts), [(a, b) for a in range(len(verts))
+                     for b in range(a + 1, len(verts))
+                     if g.bits & _pair_bit(verts[a], verts[b], g.n)])
 
 
 def encode_graph6_by_bit_list(g: Graph) -> str:
@@ -425,8 +473,8 @@ def enumerate_by_all_subsets(n: int) -> tuple[Graph, ...]:
         return (Graph(0, 0),)
     seen = set()
     for parent in enumerate_by_all_subsets(n - 1):
+        base = edges_by_pair_bits(parent)
         for s in range(1 << (n - 1)):
-            edges = parent.edges()
-            edges.extend((i, n - 1) for i in range(n - 1) if (s >> i) & 1)
-            seen.add(canonical_form(from_edges(n, edges)).bits)
+            edges = base + [(i, n - 1) for i in range(n - 1) if (s >> i) & 1]
+            seen.add(canonical_form(from_edges_by_pair_bits(n, edges)).bits)
     return tuple(Graph(n, b) for b in sorted(seen))

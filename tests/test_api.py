@@ -74,3 +74,42 @@ def test_unread_private_check_sees_leftovers():
                        "def __getattr__(name): pass\ndef h(): pass\n",
                "b.py": "from a import _g\nimport a\na._C()\n"}
     assert _unread_private_definitions(sources) == ["a.py: _f"]
+
+
+def _unread_public_definitions(sources: dict) -> list[str]:
+    """Module-level public functions and classes that no module reads and
+    no __all__ exports."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.extend((module, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_every_public_definition_is_read_or_exported():
+    package = Path(boxprime.__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    assert _unread_public_definitions(sources) == []
+
+
+def test_unread_public_check_sees_leftovers():
+    sources = {"a.py": "def f(): pass\ndef g(): pass\nclass C: pass\n"
+                       "def h(): pass\ndef _p(): pass\n",
+               "b.py": "from a import g\nimport a\na.C()\n__all__ = ['h']\n"}
+    assert _unread_public_definitions(sources) == ["a.py: f"]

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from boxprime import cli, counting, graph6, graphs
+from boxprime import cli, counting, graph6, graphs, semiring
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (cartesian_product, complete_graph,
                              disjoint_union, path_graph)
@@ -154,7 +155,14 @@ def test_functions_past_the_enumeration_cap():
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == \
         "9,add,261080,522164,130541/65270,24476/1065043225,4"
-    assert run_cli("functions", "--fn", "phistar", "--n", "9").returncode == 2
+    assert run_cli("functions", "--fn", "phistar", "--n", "9", "--population",
+                   "add").returncode == 2
+    # the primes are coprime to every other connected member: arithmetic
+    result = run_cli("functions", "--fn", "phistar", "--n", "9")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1] == \
+        f"9,mult,261077,{261077 * 261079},261079,0,261079"
+    assert run_cli("functions", "--fn", "phistar", "--n", "25").returncode == 2
     assert run_cli("functions", "--fn", "d", "--n", "1").returncode == 3
     assert run_cli("functions", "--fn", "d", "--n", "25", "--population",
                    "add").returncode == 2
@@ -247,6 +255,43 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
     monkeypatch.setattr(graphs, "_enumerate", walked.append)
     assert cli.main(["semiring", *argv]) == 2
     assert capsys.readouterr() == ("", f"capacity: {err}\n")
+    assert walked == []
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["census", "--instance", "even", "--n", "1..9"],
+     "even: degree 9 beyond horizon 8"),
+    (["census", "--n", "20..30"], "graphs: degree 25 beyond horizon 24"),
+    (["functions", "--fn", "phistar", "--n", "7..9", "--population", "add"],
+     "graphs: member enumeration at 9 beyond horizon 8"),
+    (["functions", "--fn", "phistar", "--n", "2..9", "--population", "add",
+      "--instance", "even"],
+     "even: member enumeration at 9 beyond horizon 8"),
+    (["functions", "--fn", "d", "--n", "2..9", "--instance", "even"],
+     "even: member enumeration at 9 beyond horizon 8"),
+    (["functions", "--fn", "phistar", "--n", "2..30"],
+     "graphs: degree 25 beyond horizon 24"),
+])
+def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
+                                                         argv, err):
+    walked = []
+    monkeypatch.setattr(graphs, "_enumerate", walked.append)
+    # a fresh even census cache, so that no earlier test has walked for it
+    monkeypatch.setattr(semiring, "_even_census",
+                        functools.cache(semiring._even_census.__wrapped__))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"capacity: {err}\n")
+    assert walked == []
+
+
+def test_unit_degree_is_refused_before_the_horizon(monkeypatch, capsys):
+    # an ascending walk meets the unit before the horizon, and so does the
+    # check that runs first
+    walked = []
+    monkeypatch.setattr(graphs, "_enumerate", walked.append)
+    assert cli.main(["functions", "--fn", "d", "--n", "1..30"]) == 3
+    assert capsys.readouterr().err == \
+        "domain: the one-vertex unit is neither prime nor composite\n"
     assert walked == []
 
 

@@ -228,6 +228,15 @@ def test_population_stats_match_enumeration(instance, request):
                     (name, n, population)
 
 
+@pytest.mark.parametrize("instance, top", [("graphs_instance", 7),
+                                           ("hamming_instance", 8)])
+def test_coprime_count_over_primes_matches_enumeration(instance, top, request):
+    inst = request.getfixturevalue(instance)
+    for n in range(2, top + 1):
+        assert population_stats("phistar", inst, n, "mult") == \
+            population_stats_by_enumeration("phistar", inst, n, "mult"), n
+
+
 def test_divisor_functions_match_divisor_lists():
     for n in range(1, 9):
         for g in enumerate_connected(n):
@@ -257,6 +266,10 @@ def test_population_stats_build_no_graph(monkeypatch):
                                                      inst.S_box, n), (name, n)
                 assert mult["count"] == inst.S_box(n)
                 assert mult["sum"] == mult["count"] * REGISTRY[name](n, 1)
+            # a prime is coprime to every other connected member
+            mult = population_stats("phistar", inst, n, "mult")
+            assert (mult["count"], mult["max"], mult["variance"]) == \
+                (inst.S_box(n), inst.S_plus(n) - 1, 0)
     # K2^3 x K3 beats every other factorization of order 24
     row = population_stats("sigmastar", instance_all_graphs(), 24, "add")
     assert row["max"] == 15 * 4
@@ -275,6 +288,10 @@ def test_population_stats_edge_orders(graphs_instance, hamming_instance):
                 "mean": 1, "variance": 0, "max": 1}
             with pytest.raises(DomainError):
                 population_stats(name, inst, 1, "mult")
+        with pytest.raises(DomainError):
+            population_stats("phistar", inst, 1, "mult")
+    with pytest.raises(CapacityError):
+        population_stats("phistar", graphs_instance, 25, "mult")
     with pytest.raises(CapacityError):
         population_stats("d", graphs_instance, 25, "add")
     with pytest.raises(CapacityError):

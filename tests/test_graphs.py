@@ -8,13 +8,16 @@ from boxprime.errors import CapacityError, DomainError
 from boxprime.graph6 import encode_graph6, parse_graph6
 from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              cartesian_product, complement,
-                             complete_graph, connected_components,
-                             cycle_graph, disjoint_union, empty_graph,
-                             enumerate_connected, enumerate_graphs,
+                             complete_graph, cycle_graph, disjoint_union,
+                             empty_graph, enumerate_connected,
+                             enumerate_graphs,
                              from_edges, induced_subgraph, is_connected,
                              path_graph, relabel, star_graph)
-from _oracles import (enumerate_by_all_subsets, exhaustive_minimum_bits,
-                      induced_subgraph_by_edges)
+from _oracles import (_distances_by_bfs, cartesian_product_by_edges,
+                      disjoint_union_by_edges, edges_by_pair_bits,
+                      enumerate_by_all_subsets, exhaustive_minimum_bits,
+                      from_edges_by_pair_bits, induced_subgraph_by_edges,
+                      relabel_by_edges)
 
 TOTAL_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -47,6 +50,10 @@ def test_validation_rejects_bad_inputs():
         cycle_graph(2)
     with pytest.raises(DomainError):
         relabel(complete_graph(3), (0, 1, 1))
+    with pytest.raises(DomainError, match="self loops"):
+        complete_graph(3).has_edge(1, 1)
+    with pytest.raises(DomainError, match=r"pair \(1, 3\) out of range"):
+        complete_graph(3).has_edge(3, 1)
 
 
 def test_constructor_shapes():
@@ -246,8 +253,10 @@ def test_connectivity():
     assert is_connected(path_graph(6))
     assert is_connected(empty_graph(1))
     assert not is_connected(empty_graph(2))
-    parts = connected_components(disjoint_union(cycle_graph(3), path_graph(2)))
-    assert sorted(p.n for p in parts) == [2, 3]
+    masks = graphs_module._component_masks(
+        disjoint_union(cycle_graph(3), path_graph(2)))
+    assert masks == [0b00111, 0b11000]
+    assert sorted(m.bit_count() for m in masks) == [2, 3]
 
 
 def test_induced_subgraph():
@@ -280,3 +289,33 @@ def test_canonical_key_is_hashable_identity():
     h = relabel(g, (2, 0, 3, 1))
     assert canonical_key(g) == canonical_key(h)
     assert canonical_key(g) != canonical_key(path_graph(4))
+
+
+@given(graph_with_permutation(), graphs(max_n=4), graphs(max_n=4))
+def test_row_constructors_match_the_pair_bit_oracles(gp, g1, g2):
+    g, perm = gp
+    edges = edges_by_pair_bits(g)
+    assert g.edges() == edges
+    built = [
+        (from_edges(g.n, edges), from_edges_by_pair_bits(g.n, edges)),
+        (relabel(g, perm), relabel_by_edges(g, perm)),
+        (disjoint_union(g1, g2), disjoint_union_by_edges(g1, g2)),
+        (cartesian_product(g1, g2), cartesian_product_by_edges(g1, g2)),
+        (cartesian_product(g, g1, cap=32), cartesian_product_by_edges(g, g1)),
+    ]
+    for fast, slow in built:
+        assert fast == slow
+        assert "rows" in fast.__dict__
+        assert fast.rows == Graph(fast.n, fast.bits).rows
+
+
+@given(graphs(max_n=12))
+def test_layers_are_the_breadth_first_distance_classes(g):
+    rows = g.rows
+    for u, dist in enumerate(_distances_by_bfs(rows)):
+        classes = [0] * (max(dist) + 1)
+        for v, d in enumerate(dist):
+            if d >= 0:
+                classes[d] |= 1 << v
+        assert graphs_module._layers(rows, u) == classes
+
