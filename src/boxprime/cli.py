@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 from .bounds import (additive_gap_sandwich, cut_bound,
                      growth_ratio_diagnostics, leading_term_check,
@@ -29,9 +29,10 @@ from .bounds import (additive_gap_sandwich, cut_bound,
 from .counting import graph_connected_totals, graph_totals, inversion_coefficients
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
-from .factor import check_order, factorize
+from .factor import _is_prime_number, check_order, factor_keys
 from .graph6 import encode_graph6, graph6_order, parse_graph6
-from .graphs import DEFAULT_ENUM_CAP, check_enumeration
+from .graphs import (DEFAULT_ENUM_CAP, Graph, check_canonical_order,
+                     check_enumeration)
 from .functions import REGISTRY, population_horizon, population_stats
 from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
                        monotonicity_report, self_complementary_identity)
@@ -112,18 +113,26 @@ def _report_error(exc: BoxprimeError, where: str = "") -> int:
     raise exc
 
 
+@lru_cache(maxsize=1024)
+def _factor_text(n: int, bits: int) -> str:
+    return encode_graph6(Graph(n, bits))
+
+
 def _factor_line(text: str) -> str:
     # the header alone gives the order, so an oversized body is never decoded
-    check_order(graph6_order(text))
+    n = graph6_order(text)
+    check_order(n)
+    if _is_prime_number(n):
+        # a graph of prime order is its own one factor
+        check_canonical_order(n)
     g = parse_graph6(text)
-    if g.n == 1:
+    if n == 1:
         return f"{text}: UNIT"
-    factors = factorize(g)
-    # factorize sorts, and a Counter keeps first-seen order
-    counts = Counter(factors)
-    parts = [f"{encode_graph6(f)} x {times}" for f, times in counts.items()]
+    keys = factor_keys(g)
+    # the keys are sorted, and a Counter keeps first-seen order
+    parts = [f"{_factor_text(*key)} x {times}" for key, times in Counter(keys).items()]
     line = f"{text}: " + ", ".join(parts)
-    if len(factors) == 1:
+    if len(keys) == 1:
         line += " PRIME"
     return line
 

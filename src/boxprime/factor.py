@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import and_
 
 from .errors import CapacityError, DomainError
-from .graphs import (Graph, _layers, canonical_form, canonical_key,
-                     cartesian_product, empty_graph, induced_subgraph,
-                     is_connected)
+from .graphs import (Graph, _canonical_bits, _graph_from_rows, _induced_rows,
+                     _layers, canonical_form, canonical_key, cartesian_product,
+                     check_canonical_order, empty_graph, is_connected)
 
 # largest order factorized; the 8-cube has 256 vertices
 ORDER_LIMIT = 256
@@ -38,18 +39,34 @@ def _bits_of(mask: int):
         yield low.bit_length() - 1
 
 
-def _distance_layers(rows) -> list[list[int]]:
-    """Breadth-first layers from every vertex: entry [u][k] masks the
-    vertices at distance k from u."""
-    return [_layers(rows, u) for u in range(len(rows))]
+def _cut(vertices: int, incidence) -> int:
+    """Edge mask of the edges with exactly one end among the vertices."""
+    edges = 0
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        edges ^= incidence[low.bit_length() - 1]
+    return edges
+
+
+def _merge(classes: list[int], edges: int) -> list[int]:
+    """The disjoint edge classes after joining those that meet edges."""
+    kept = []
+    for c in classes:
+        if c & edges:
+            edges |= c
+        else:
+            kept.append(c)
+    kept.append(edges)
+    return kept
 
 
 def _layer_masks(g: Graph) -> list[int]:
     """Vertex masks of the layers through vertex 0, one per prime factor,
     ordered by the smallest neighbour of vertex 0 that each contains.
 
-    A single mask (all vertices) means g is prime.  g must be connected
-    with at least two vertices and at most ORDER_LIMIT.
+    A single mask (all vertices) means g is prime, and none that g is the
+    unit.  g must be connected with at most ORDER_LIMIT vertices.
     """
     n = g.n
     full = (1 << n) - 1
@@ -57,86 +74,66 @@ def _layer_masks(g: Graph) -> list[int]:
         # the order of a product is the product of the factor orders
         return [full]
     rows = g.rows
-    edges = [(u, v) for u in range(n) for v in _bits_of(rows[u] >> u << u)]
-    eid = {}
-    for e, (u, v) in enumerate(edges):
-        eid[u * n + v] = eid[v * n + u] = e
-    parent = list(range(len(edges)))
-    classes = len(edges)
+    # edges numbered from their lower ends up, so vertex 0's come first
+    incidence = [0] * n
+    ends = []
+    for u in range(n):
+        for v in _bits_of(rows[u] >> u << u):
+            incidence[u] |= 1 << len(ends)
+            incidence[v] |= 1 << len(ends)
+            ends.append(1 << u | 1 << v)
 
-    def find(e: int) -> int:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def join(e: int, f: int) -> bool:
-        nonlocal classes
-        re, rf = find(e), find(f)
-        if re != rf:
-            parent[rf] = re
-            classes -= 1
-        return classes == 1
-
-    # tau: edges xu, xv with u ~ v, or with no w ~ u, v outside N[x]
-    for x in range(n):
-        nx = rows[x]
-        closed = nx | (1 << x)
-        nbrs = list(_bits_of(nx))
-        for i, u in enumerate(nbrs):
-            ru = rows[u]
-            for v in nbrs[i + 1:]:
-                if (ru >> v) & 1 or not (ru & rows[v] & ~closed):
-                    if join(eid[x * n + u], eid[x * n + v]):
-                        return [full]
-
-    # Theta from the edges of the breadth-first tree at vertex 0 only: each
-    # vertex at distance k + 1 hangs on its smallest neighbour at distance k.
-    # xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y); the three values
-    # -1, 0, 1 split the vertices, and uv joins every crossing edge
-    layers = _distance_layers(rows)
+    # Theta from the edges of the breadth-first tree at vertex 0 only, each
+    # vertex at distance k + 1 hung on its smallest neighbour at distance k.
+    # xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y): uv joins the edges
+    # with one end nearer u or one end nearer v.  An edge is in Theta with
+    # some edge of every path between its ends, so the classes cover them all
+    layers = [_layers(rows, u) for u in range(n)]
+    classes = []
     for above, level in zip(layers[0], layers[0][1:]):
         for v in _bits_of(level):
             up = rows[v] & above
             u = (up & -up).bit_length() - 1
             lu, lv = layers[u], layers[v]
-            near_u = near_v = 0
-            for a, b in zip(lu, lv[1:]):
-                near_u |= a & b
-            for a, b in zip(lv, lu[1:]):
-                near_v |= a & b
-            middle = full ^ near_u ^ near_v
-            root = find(eid[u * n + v])
-            # crossing edges leave the vertices nearer u, or join the
-            # equidistant vertices to those nearer v
-            for side, across in ((near_u, ~near_u), (middle, near_v)):
-                while side:
-                    low = side & -side
-                    side ^= low
-                    x = low.bit_length() - 1
-                    base = x * n
-                    cross = rows[x] & across
-                    while cross:
-                        low = cross & -cross
-                        cross ^= low
-                        other = find(eid[base + low.bit_length() - 1])
-                        if other != root:
-                            parent[other] = root
-                            classes -= 1
-            if classes == 1:
+            near_u = sum(map(and_, lu, lv[1:]))
+            near_v = sum(map(and_, lv, lu[1:]))
+            classes = _merge(classes, _cut(near_u, incidence) | _cut(near_v, incidence))
+            if classes[-1] == (1 << len(ends)) - 1:
                 return [full]
 
-    # every class has edges at vertex 0: its layer through vertex 0 is
-    # reached along the class's edges, and the classes are ordered by the
-    # smallest neighbour of vertex 0 in each
-    class_rows = {}
-    for w in _bits_of(rows[0]):
-        class_rows.setdefault(find(eid[w]), [0] * n)
-    for e, (u, v) in enumerate(edges):
-        cr = class_rows[find(e)]
-        cr[u] |= 1 << v
-        cr[v] |= 1 << u
-    return [sum(_layers(cr, 0)) for cr in class_rows.values()]
+    # tau: edges xu, xv with u ~ v, or with no w ~ u, v outside N[x]
+    for x in range(n):
+        closed = rows[x] | (1 << x)
+        later = rows[x]
+        while later:
+            low = later & -later
+            later ^= low
+            ru = rows[low.bit_length() - 1]
+            linked = later & ru
+            apart = later ^ linked
+            while apart:
+                bit = apart & -apart
+                apart ^= bit
+                if not ru & rows[bit.bit_length() - 1] & ~closed:
+                    linked |= bit
+            if linked:
+                classes = _merge(classes, incidence[x] & _cut(linked | low, incidence))
+                if len(classes) == 1:
+                    return [full]
+
+    # every class has edges at vertex 0, and those edges are numbered first
+    # in order of their other end; a class's layer through vertex 0 grows by
+    # the ends of the class's edges that leave it
+    masks = []
+    for c in sorted(classes, key=lambda c: c & -c):
+        layer = 1
+        leaving = c & incidence[0]
+        while leaving:
+            for e in _bits_of(leaving):
+                layer |= ends[e]
+            leaving = c & _cut(layer, incidence)
+        masks.append(layer)
+    return masks
 
 
 def check_order(n: int) -> None:
@@ -144,6 +141,18 @@ def check_order(n: int) -> None:
     if n > ORDER_LIMIT:
         raise CapacityError(
             f"factorization of order {n} exceeds the limit {ORDER_LIMIT}")
+
+
+def _factor_rows(g: Graph) -> list[tuple[int, ...]]:
+    """Neighbour rows of g's layers through vertex 0, one per prime factor,
+    in _layer_masks order; the order limit is checked before any work."""
+    check_order(g.n)
+    if not is_connected(g):
+        raise DomainError("factorization is defined for connected graphs only")
+    masks = _layer_masks(g)
+    if len(masks) == 1:
+        return [g.rows]
+    return [_induced_rows(g.rows, m) for m in masks]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -156,15 +165,7 @@ def factor_layers(g: Graph) -> tuple[Graph, ...]:
     vertex 0 that each contains.  Orders above ORDER_LIMIT are refused
     before any work.  Results are memoized per labelled graph.
     """
-    check_order(g.n)
-    if not is_connected(g):
-        raise DomainError("factorization is defined for connected graphs only")
-    if g.n == 1:
-        return ()
-    masks = _layer_masks(g)
-    if len(masks) == 1:
-        return (g,)
-    return tuple(induced_subgraph(g, m) for m in masks)
+    return tuple(_graph_from_rows(len(rows), rows) for rows in _factor_rows(g))
 
 
 def is_cartesian_prime(g: Graph) -> bool:
@@ -178,13 +179,25 @@ def is_cartesian_prime(g: Graph) -> bool:
     return len(factor_layers(g)) == 1
 
 
+def factor_keys(g: Graph) -> list[tuple[int, int]]:
+    """Sorted (order, canonical bits) of the prime factors of a connected
+    graph, with repeats; every order is checked against the canonical cap first."""
+    layers = _factor_rows(g)
+    for rows in layers:
+        check_canonical_order(len(rows))
+    return sorted((len(rows), _canonical_bits(len(rows), rows))
+                  for rows in layers)
+
+
+@lru_cache(maxsize=1 << 16)
 def factorize(g: Graph) -> tuple[Graph, ...]:
     """Prime factors of a connected graph, canonical and sorted, with repeats.
 
     The unit gives an empty tuple; a prime gives its canonical form.
-    Canonical graphs order by their canonical keys.
+    Canonical graphs order by their canonical keys.  Results are memoized
+    per labelled graph.
     """
-    return tuple(sorted(canonical_form(f) for f in factor_layers(g)))
+    return tuple(Graph(n, bits) for n, bits in factor_keys(g))
 
 
 def product_of(factors) -> Graph:

@@ -8,22 +8,15 @@ n <= 62, or '~' followed by three characters for n up to 258047.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import CapacityError, ParseError
-from .graphs import Graph, _graph_from_rows, _mirror, _pair_count, _pair_rank
+from .graphs import (Graph, _column_major_ranks, _graph_from_rows, _pair_count,
+                     _row_major_indices, _rows_from_text)
 
 GRAPH6_MAX_ORDER = 258047
 _PREFIX = ">>graph6<<"
 # each body character to its six bits; any other character stays one long
 _SIXBITS = str.maketrans({chr(v + 63): format(v, "06b") for v in range(64)})
 _SIXCHARS = {format(v, "06b"): chr(v + 63) for v in range(64)}
-
-
-@lru_cache(maxsize=32)
-def _column_major_ranks(n: int) -> tuple[int, ...]:
-    """Row-major rank of each pair of an order-n graph, in graph6 order."""
-    return tuple(_pair_rank(i, j, n) for j in range(1, n) for i in range(j))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -79,7 +72,7 @@ def graph6_order(text: str) -> int:
 
 
 def _decode_body(body: str, n: int) -> Graph:
-    """Graph of order n from its graph6 body, in one pass over the bits."""
+    """Graph of order n from its graph6 body, with its neighbour rows."""
     m = _pair_count(n)
     groups = -(-m // 6)
     if len(body) != groups:
@@ -91,14 +84,9 @@ def _decode_body(body: str, n: int) -> Graph:
         raise ParseError(f"invalid graph6 body byte {ord(bad)}")
     if "1" in bits[m:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    lower = [0] * n
-    start = 0
-    for j in range(1, n):
-        column = bits[start:start + j]
-        start += j
-        if "1" in column:
-            lower[j] = int(column[::-1], 2)
-    return _graph_from_rows(n, _mirror(lower))
+    row_major = "".join(map(bits.__getitem__, _row_major_indices(n)))
+    return _graph_from_rows(n, _rows_from_text(n, row_major, bits),
+                            int(row_major or "0", 2))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -22,11 +22,6 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pair_rank(i: int, j: int, n: int) -> int:
-    # row-major rank of the pair (i, j), valid only for i < j
-    return i * (2 * n - i - 3) // 2 + j - 1
-
-
 def _ordered_pair(i: int, j: int, n: int) -> tuple[int, int]:
     """The unordered pair {i, j} of an order-n graph, smaller end first."""
     if i == j:
@@ -76,16 +71,9 @@ class Graph:
     @cached_property
     def rows(self) -> tuple[int, ...]:
         """Neighbor bitmask for each vertex."""
-        n = self.n
-        text = format(self.bits, f"0{_pair_count(n)}b")
-        upper = [0] * n
-        start = 0
-        # row i's pairs (i, i+1) .. (i, n-1) are one run of the bit string
-        for i in range(n - 1):
-            end = start + n - 1 - i
-            upper[i] = int(text[start:end][::-1], 2) << (i + 1)
-            start = end
-        return _mirror(upper)
+        text = format(self.bits, f"0{_pair_count(self.n)}b")
+        columns = "".join(map(text.__getitem__, _column_major_ranks(self.n)))
+        return _rows_from_text(self.n, text, columns)
 
     @property
     def edge_count(self) -> int:
@@ -103,15 +91,30 @@ class Graph:
         return tuple(sorted((m.bit_count() for m in self.rows), reverse=True))
 
 
-def _mirror(half) -> tuple[int, ...]:
-    """Full neighbor rows from rows that hold each edge at one end only."""
-    rows = list(half)
-    for i, mask in enumerate(half):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            rows[low.bit_length() - 1] |= bit
+@lru_cache(maxsize=32)
+def _column_major_ranks(n: int) -> tuple[int, ...]:
+    """Row-major rank of each pair of an order-n graph, in graph6 order."""
+    return tuple(i * (2 * n - i - 3) // 2 + j - 1 for j in range(1, n) for i in range(j))
+
+
+@lru_cache(maxsize=32)
+def _row_major_indices(n: int) -> tuple[int, ...]:
+    """Column-major index of each pair of an order-n graph, in row-major
+    order: the inverse of _column_major_ranks."""
+    return tuple(j * (j - 1) // 2 + i for i in range(n) for j in range(i + 1, n))
+
+
+def _rows_from_text(n: int, row_major: str, column_major: str) -> tuple[int, ...]:
+    """Neighbor rows from the edge bit string in row-major and column-major
+    order: row i is column i below the diagonal, and row i's run above it."""
+    rows = []
+    column = run = 0
+    for i in range(n):
+        end = run + n - 1 - i
+        row = column_major[column:column + i] + "0" + row_major[run:end]
+        rows.append(int(row[::-1], 2))
+        column += i
+        run = end
     return tuple(rows)
 
 
@@ -123,10 +126,10 @@ def _pack_rows(n: int, rows) -> int:
                        for i in range(n - 1)), 2)
 
 
-def _graph_from_rows(n: int, rows: tuple[int, ...]) -> Graph:
-    """Graph with the given neighbor rows, which it keeps instead of
-    decoding them again from the packed vector."""
-    g = Graph(n, _pack_rows(n, rows))
+def _graph_from_rows(n: int, rows: tuple[int, ...], bits: int | None = None) -> Graph:
+    """Graph with the given neighbor rows (and packed vector, if known),
+    which it keeps instead of decoding them again from the packed vector."""
+    g = Graph(n, _pack_rows(n, rows) if bits is None else bits)
     g.__dict__["rows"] = rows
     return g
 
@@ -237,9 +240,9 @@ def _component_masks(g: Graph) -> list[int]:
     return comps
 
 
-def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
-    """Subgraph on the masked vertices, relabeled in increasing order."""
-    rows = g.rows
+def _induced_rows(rows, vertex_mask: int) -> tuple[int, ...]:
+    """Rows of the subgraph on the masked vertices, relabeled in increasing
+    order."""
     index = {}
     m = vertex_mask
     while m:
@@ -255,7 +258,13 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
             nb ^= low
             row |= 1 << index[low.bit_length() - 1]
         sub.append(row)
-    return _graph_from_rows(len(sub), tuple(sub))
+    return tuple(sub)
+
+
+def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
+    """Subgraph on the masked vertices, relabeled in increasing order."""
+    rows = _induced_rows(g.rows, vertex_mask)
+    return _graph_from_rows(len(rows), rows)
 
 
 def _canonical_bits(n: int, rows) -> int:
@@ -267,7 +276,8 @@ def _canonical_bits(n: int, rows) -> int:
     forced (non-neighbors before neighbors), and each placement refines the
     partition.  Candidates that are interchangeable (equal open or closed
     neighborhoods within the unplaced set) explore identical subtrees and are
-    deduplicated.
+    deduplicated.  Candidates are explored in order of their rows, only while
+    the prefix stays within the best vector found.
     """
     if n <= 1:
         return 0
@@ -276,11 +286,33 @@ def _canonical_bits(n: int, rows) -> int:
 
     def place(blocks, remaining, prefix, done):
         nonlocal best
+        # a lone vertex in the first block is placed with no choice
+        while not blocks[0] & (blocks[0] - 1):
+            nb = rows[blocks[0].bit_length() - 1]
+            width = remaining.bit_count() - 1
+            row = 0
+            new_blocks = []
+            for b in blocks[1:]:
+                hi = b & nb
+                row = (row << b.bit_count()) | ((1 << hi.bit_count()) - 1)
+                lo = b ^ hi
+                if lo:
+                    new_blocks.append(lo)
+                if hi:
+                    new_blocks.append(hi)
+            prefix = (prefix << width) | row
+            done += width
+            if best is not None and prefix > best >> (total - done):
+                return
+            remaining ^= blocks[0]
+            if not remaining & (remaining - 1):
+                # the last vertex's row is empty: prefix is a whole vector
+                best = prefix
+                return
+            blocks = new_blocks
         first = blocks[0]
         rest = blocks[1:]
         width = remaining.bit_count() - 1
-        ndone = done + width
-        shift = total - ndone
         seen_open = set()
         seen_closed = set()
         scored = []
@@ -295,36 +327,18 @@ def _canonical_bits(n: int, rows) -> int:
                 continue
             seen_open.add(key_open)
             seen_closed.add(key_closed)
-            row = 0
-            new_blocks = []
-            fb = first ^ v
-            if fb:
-                hi = fb & nb
-                row = (row << fb.bit_count()) | ((1 << hi.bit_count()) - 1)
-                lo = fb ^ hi
-                if lo:
-                    new_blocks.append(lo)
-                if hi:
-                    new_blocks.append(hi)
+            row = (1 << (first & nb).bit_count()) - 1
             for b in rest:
-                hi = b & nb
-                row = (row << b.bit_count()) | ((1 << hi.bit_count()) - 1)
-                lo = b ^ hi
-                if lo:
-                    new_blocks.append(lo)
-                if hi:
-                    new_blocks.append(hi)
-            scored.append((row, v, new_blocks))
-        scored.sort(key=lambda t: t[0])
-        for row, v, new_blocks in scored:
-            pref = (prefix << width) | row
-            if best is not None and pref > (best >> shift):
-                continue
-            if not new_blocks:
-                if best is None or pref < best:
-                    best = pref
-            else:
-                place(new_blocks, remaining ^ v, pref, ndone)
+                row = (row << b.bit_count()) | ((1 << (b & nb).bit_count()) - 1)
+            scored.append((row, v))
+        scored.sort()
+        shift = total - done - width
+        for row, v in scored:
+            if best is not None and (prefix << width) | row > best >> shift:
+                # later rows are no smaller
+                break
+            # the candidate goes first as a lone block (an empty one is inert)
+            place([v, first ^ v] + rest, remaining, prefix, done)
 
     full = (1 << n) - 1
     place([full], full, 0, 0)
@@ -337,11 +351,16 @@ def _canonical_bits_for(g: Graph) -> int:
     return _canonical_bits(g.n, g.rows)
 
 
+def check_canonical_order(n: int) -> None:
+    """Refuse a canonical form of order above DEFAULT_CANON_CAP."""
+    if n > DEFAULT_CANON_CAP:
+        raise CapacityError(f"canonical form of order {n} exceeds cap "
+                            f"{DEFAULT_CANON_CAP}")
+
+
 def canonical_form(g: Graph) -> Graph:
     """The isomorph of g with the lexicographically minimal edge bit vector."""
-    if g.n > DEFAULT_CANON_CAP:
-        raise CapacityError(f"canonical form of order {g.n} exceeds cap "
-                            f"{DEFAULT_CANON_CAP}")
+    check_canonical_order(g.n)
     if g.n <= 1:
         return g
     return Graph(g.n, _canonical_bits_for(g))

@@ -13,7 +13,7 @@ from itertools import permutations, product
 from math import comb, factorial, gcd, prod
 
 from boxprime.counting import CountSequence
-from boxprime.errors import CapacityError, DomainError
+from boxprime.errors import CapacityError, DomainError, ParseError
 from boxprime.functions import evaluate
 from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
                              canonical_key, cartesian_product,
@@ -478,3 +478,99 @@ def enumerate_by_all_subsets(n: int) -> tuple[Graph, ...]:
             edges = base + [(i, n - 1) for i in range(n - 1) if (s >> i) & 1]
             seen.add(canonical_form(from_edges_by_pair_bits(n, edges)).bits)
     return tuple(Graph(n, b) for b in sorted(seen))
+
+
+def decode_graph6_body_by_columns(body: str, n: int) -> tuple[int, int, tuple]:
+    """(n, packed vector, neighbour rows) of a graph6 body, read column by
+    column: column j gives vertex j's lower neighbours, which are mirrored
+    onto their own rows one bit at a time, and the packed vector is set
+    pair by pair.  Bodies are checked as the package checks them."""
+    m = n * (n - 1) // 2
+    groups = -(-m // 6)
+    if len(body) != groups:
+        raise ParseError(
+            f"graph6 body for order {n} needs {groups} characters, got {len(body)}")
+    for ch in body:
+        if not 63 <= ord(ch) <= 126:
+            raise ParseError(f"invalid graph6 body byte {ord(ch)}")
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[m:]:
+        raise ParseError("nonzero padding bits in graph6 body")
+    rows = [0] * n
+    edges = []
+    start = 0
+    for j in range(1, n):
+        column = bits[start:start + j]
+        start += j
+        for i, bit in enumerate(column):
+            if bit == "1":
+                rows[j] |= 1 << i
+                rows[i] |= 1 << j
+                edges.append((i, j))
+    return n, from_edges_by_pair_bits(n, edges).bits, tuple(rows)
+
+
+def canonical_bits_eager(n: int, rows) -> int:
+    """Minimal packed edge vector over all relabelings, by the eager branch
+    and bound: every candidate's row and refined partition are built before
+    any is explored, and candidates past the bound are skipped one by one.
+
+    Blocks of the ordered partition hold vertices that everything placed so
+    far cannot tell apart; position k takes a vertex from the first block,
+    its row is forced (non-neighbours before neighbours within each block),
+    and candidates with equal open or closed neighbourhoods within the
+    unplaced set are explored once.
+    """
+    if n <= 1:
+        return 0
+    total = n * (n - 1) // 2
+    best = None
+
+    def place(blocks, remaining, prefix, done):
+        nonlocal best
+        first = blocks[0]
+        rest = blocks[1:]
+        width = remaining.bit_count() - 1
+        ndone = done + width
+        shift = total - ndone
+        seen_open = set()
+        seen_closed = set()
+        scored = []
+        m = first
+        while m:
+            v = m & -m
+            m ^= v
+            nb = rows[v.bit_length() - 1]
+            key_open = nb & (remaining ^ v)
+            key_closed = (nb | v) & remaining
+            if key_open in seen_open or key_closed in seen_closed:
+                continue
+            seen_open.add(key_open)
+            seen_closed.add(key_closed)
+            row = 0
+            new_blocks = []
+            for b in [first ^ v] + rest:
+                if not b:
+                    continue
+                hi = b & nb
+                row = (row << b.bit_count()) | ((1 << hi.bit_count()) - 1)
+                lo = b ^ hi
+                if lo:
+                    new_blocks.append(lo)
+                if hi:
+                    new_blocks.append(hi)
+            scored.append((row, v, new_blocks))
+        scored.sort(key=lambda t: t[0])
+        for row, v, new_blocks in scored:
+            pref = (prefix << width) | row
+            if best is not None and pref > (best >> shift):
+                continue
+            if not new_blocks:
+                if best is None or pref < best:
+                    best = pref
+            else:
+                place(new_blocks, remaining ^ v, pref, ndone)
+
+    full = (1 << n) - 1
+    place([full], full, 0, 0)
+    return best

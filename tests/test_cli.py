@@ -2,15 +2,19 @@ import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from boxprime import cli, counting, graph6, graphs, semiring
 from boxprime.graph6 import encode_graph6
-from boxprime.graphs import (cartesian_product, complete_graph,
-                             disjoint_union, path_graph)
+from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
+                             complete_graph, cycle_graph, disjoint_union,
+                             empty_graph, from_edges, path_graph, relabel)
+from _oracles import factorize_by_table
 
 CENSUS_2_8 = (
     "n,S,S_plus,S_box\n"
@@ -309,6 +313,82 @@ def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "capacity: line 1: factorization of order 3000 exceeds the limit "
         "256\n")
+
+
+def test_factor_prime_order_above_the_canonical_cap_is_refused_from_the_header(
+        monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the graph6 body was decoded")
+
+    monkeypatch.setattr(graph6, "_decode_body", forbidden)
+    monkeypatch.setattr(cli, "parse_graph6", forbidden)
+    # the 29-cycle, a truncated order-29 line, and an edgeless order-251
+    # line: a graph of prime order is one factor of that order
+    lines = [encode_graph6(cycle_graph(29)), chr(29 + 63),
+             encode_graph6(empty_graph(251))]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in lines)))
+    assert cli.main(["factor"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "capacity: line 1: canonical form of order 29 exceeds cap 24\n"
+        "capacity: line 2: canonical form of order 29 exceeds cap 24\n"
+        "capacity: line 3: canonical form of order 251 exceeds cap 24\n")
+
+
+def _factor_stream(seed: int, lines: int = 300):
+    """Seeded factor input: relabelled products of 2-3 random connected
+    factors (orders 2..7, product order <= 24) and random graphs of prime
+    order, with exact and relabelled repeats.  Yields each line with the
+    prime factors its construction implies, canonical and sorted."""
+    rng = random.Random(seed)
+
+    def connected(n):
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}
+        pairs |= {(i, j) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.4}
+        return from_edges(n, pairs)
+
+    bases = []
+    for _ in range(lines):
+        roll = rng.random()
+        if bases and roll < 0.15:
+            yield rng.choice(bases[-20:])
+            continue
+        if bases and roll < 0.45:
+            g, primes = rng.choice(bases)[2:]
+        elif roll < 0.8:
+            g, primes = empty_graph(1), ()
+            for _ in range(rng.randint(2, 3)):
+                if 24 // g.n < 2:
+                    break
+                f = connected(rng.randint(2, min(7, 24 // g.n)))
+                g = cartesian_product(g, f)
+                primes += factorize_by_table(f)
+        else:
+            g = connected(rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+            primes = (canonical_form(g),)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        text = encode_graph6(relabel(g, perm))
+        bases.append((text, sorted(primes, key=canonical_key), g, primes))
+        yield bases[-1]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_factor_stream_lists_each_constructions_factors(monkeypatch, capsys,
+                                                        seed):
+    cases = [case[:2] for case in _factor_stream(seed)]
+    assert len({text for text, _ in cases}) < len(cases)
+    stdin = "".join(text + "\n" for text, _ in cases)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(["factor"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(cases)
+    for line, (text, primes) in zip(out, cases):
+        parts = [f"{encode_graph6(p)} x {k}" for p, k in Counter(primes).items()]
+        expected = f"{text}: " + ", ".join(parts)
+        assert line == expected + (" PRIME" if len(primes) == 1 else "")
 
 
 def test_factor_prints_nothing_when_it_answers_nothing(monkeypatch, capsys):

@@ -197,7 +197,7 @@ def test_order_limit_is_checked_before_any_work(monkeypatch):
 
     big = cartesian_product(K2, path_graph(ORDER_LIMIT // 2 + 1),
                             cap=ORDER_LIMIT + 2)
-    monkeypatch.setattr(factor, "_distance_layers", forbidden)
+    monkeypatch.setattr(factor, "_layers", forbidden)
     monkeypatch.setattr(factor, "is_connected", forbidden)
     with pytest.raises(CapacityError):
         factorize(big)

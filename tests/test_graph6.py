@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from boxprime import graphs as graphs_module
+from boxprime import graph6, graphs as graphs_module
 from boxprime.errors import CapacityError, ParseError
 from boxprime.graph6 import encode_graph6, parse_graph6
 from boxprime.graphs import (Graph, canonical_form, complete_graph,
                              cycle_graph, empty_graph, enumerate_graphs,
                              path_graph, relabel)
-from _oracles import encode_graph6_by_bit_list
+from _oracles import decode_graph6_body_by_columns, encode_graph6_by_bit_list
 
 
 @st.composite
@@ -82,7 +82,7 @@ def test_encoding_a_canonical_form_decodes_no_rows(monkeypatch):
 
     graphs_module._canonical_bits_for.cache_clear()
     canonical = canonical_form(g)
-    monkeypatch.setattr(graphs_module, "_mirror", forbidden)
+    monkeypatch.setattr(graphs_module, "_rows_from_text", forbidden)
     assert encode_graph6(canonical) == expected
 
 
@@ -121,3 +121,33 @@ def test_parse_rejects_long_form_for_small_order():
     # orders below 63 must use the single-character header
     with pytest.raises(ParseError):
         parse_graph6("~??@")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_matches_the_column_oracle(seed):
+    # sparse to dense graphs of orders 0..70, the long form included
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(0, 70)
+        m = n * (n - 1) // 2
+        bits = rng.getrandbits(m)
+        for _ in range(rng.randint(0, 2)):
+            bits &= rng.getrandbits(m)
+        text = encode_graph6(Graph(n, bits))
+        body = text[4:] if text.startswith("~") else text[1:]
+        g = graph6._decode_body(body, n)
+        assert (g.n, g.bits, g.rows) == decode_graph6_body_by_columns(body, n)
+        assert g.bits == bits
+
+
+@pytest.mark.parametrize("body, n", [
+    ("", 2), ("??", 2),   # wrong lengths
+    ("\x1f", 2), ("?\x7f", 5), ("\x80?", 5),   # bytes out of range
+    ("w", 2), ("?A", 5), ("?" * 9 + "@", 11),   # nonzero padding
+])
+def test_decode_errors_match_the_column_oracle(body, n):
+    with pytest.raises(ParseError) as new:
+        graph6._decode_body(body, n)
+    with pytest.raises(ParseError) as old:
+        decode_graph6_body_by_columns(body, n)
+    assert str(new.value) == str(old.value)

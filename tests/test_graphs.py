@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -13,7 +14,8 @@ from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              enumerate_graphs,
                              from_edges, induced_subgraph, is_connected,
                              path_graph, relabel, star_graph)
-from _oracles import (_distances_by_bfs, cartesian_product_by_edges,
+from _oracles import (_distances_by_bfs, canonical_bits_eager,
+                      cartesian_product_by_edges,
                       disjoint_union_by_edges, edges_by_pair_bits,
                       enumerate_by_all_subsets, exhaustive_minimum_bits,
                       from_edges_by_pair_bits, induced_subgraph_by_edges,
@@ -121,7 +123,7 @@ def test_canonical_form_of_a_parsed_graph_decodes_no_rows(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("rows were decoded again")
 
-    monkeypatch.setattr(graphs_module, "_mirror", forbidden)
+    monkeypatch.setattr(graphs_module, "_rows_from_text", forbidden)
     graphs_module._canonical_bits_for.cache_clear()
     assert canonical_form(g) == expected
 
@@ -152,7 +154,7 @@ def test_graph_is_an_ordered_immutable_value():
 
 def test_graph_from_rows_keeps_its_rows(monkeypatch):
     rows = path_graph(4).rows
-    monkeypatch.setattr(graphs_module, "_mirror", None)
+    monkeypatch.setattr(graphs_module, "_rows_from_text", None)
     g = graphs_module._graph_from_rows(4, rows)
     assert g == path_graph(4) and g.rows is rows
 
@@ -319,3 +321,27 @@ def test_layers_are_the_breadth_first_distance_classes(g):
                 classes[d] |= 1 << v
         assert graphs_module._layers(rows, u) == classes
 
+
+def test_lazy_search_matches_the_eager_search_on_random_graphs():
+    rng = random.Random(14)
+    for _ in range(24):
+        n = rng.randint(9, 24)
+        density = rng.uniform(0.2, 0.8)
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < density])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        expected = canonical_bits_eager(n, g.rows)
+        assert graphs_module._canonical_bits(n, g.rows) == expected
+        assert graphs_module._canonical_bits(n, h.rows) == expected
+        assert canonical_bits_eager(n, h.rows) == expected
+
+
+def test_lazy_search_matches_the_eager_search_on_every_order_7_graph():
+    rng = random.Random(7)
+    for g in enumerate_graphs(7):
+        h = relabel(g, rng.sample(range(7), 7))
+        assert graphs_module._canonical_bits(7, g.rows) == g.bits
+        assert graphs_module._canonical_bits(7, h.rows) == g.bits
+        assert canonical_bits_eager(7, h.rows) == g.bits
