@@ -9,24 +9,21 @@ finite-degree inequalities that govern how the three count sequences grow.
 Everything is computed with integers and fractions, never floats.
 """
 
-from .counting import (CountSequence, SignedSequence, count_graphs_polya,
-                       euler_inverse, euler_transform, graph_connected_totals,
-                       graph_totals, inversion_coefficients,
-                       prime_counts_by_factorization)
+from .counting import (CountSequence, SignedSequence, euler_inverse,
+                       euler_transform, graph_connected_totals, graph_totals,
+                       inversion_coefficients, prime_counts_by_factorization)
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import (RationalPolynomial, connected_series_polynomial,
                         expansion_error_bound, expansion_error_report,
                         expansion_partial_sum, total_series_polynomial)
-from .factor import (divisors, factor_layers, factorize, is_cartesian_prime,
-                     product_of)
-from .functions import (coprime_count, divisor_count, divisor_sum, evaluate,
-                        exponent_product, population_stats,
-                        submultiplicativity_check, unitary_divisor_count)
+from .factor import factor_layers, factorize, is_cartesian_prime
+from .functions import (coprime_count, evaluate, population_stats,
+                        submultiplicativity_check)
 from .graph6 import encode_graph6, parse_graph6
 from .graphs import (Graph, canonical_form, canonical_key, cartesian_product,
                      complete_graph, cycle_graph, disjoint_union, empty_graph,
                      enumerate_connected, enumerate_graphs, is_connected,
-                     path_graph, relabel, star_graph)
+                     path_graph, relabel)
 from .semiring import (SemiringInstance, build_instance, closure_check,
                        instance_all_graphs, instance_even_edge,
                        instance_hamming, monotonicity_report,
@@ -39,22 +36,20 @@ __all__ = [
     "Graph", "canonical_form", "canonical_key",
     "cartesian_product", "complete_graph", "cycle_graph", "disjoint_union",
     "empty_graph", "enumerate_connected", "enumerate_graphs", "is_connected",
-    "path_graph", "relabel", "star_graph",
+    "path_graph", "relabel",
     "encode_graph6", "parse_graph6",
-    "CountSequence", "SignedSequence", "count_graphs_polya",
-    "euler_inverse", "euler_transform", "graph_connected_totals",
-    "graph_totals", "inversion_coefficients", "prime_counts_by_factorization",
+    "CountSequence", "SignedSequence", "euler_inverse", "euler_transform",
+    "graph_connected_totals", "graph_totals", "inversion_coefficients",
+    "prime_counts_by_factorization",
     "RationalPolynomial", "connected_series_polynomial",
     "expansion_error_bound", "expansion_error_report",
     "expansion_partial_sum", "total_series_polynomial",
-    "divisors", "factor_layers", "factorize", "is_cartesian_prime",
-    "product_of",
+    "factor_layers", "factorize", "is_cartesian_prime",
     "SemiringInstance", "build_instance", "closure_check",
     "instance_all_graphs", "instance_even_edge", "instance_hamming",
     "monotonicity_report",
     "self_complementary_count", "self_complementary_identity",
-    "coprime_count", "divisor_count", "divisor_sum", "evaluate",
-    "exponent_product", "population_stats", "submultiplicativity_check",
-    "unitary_divisor_count",
+    "coprime_count", "evaluate", "population_stats",
+    "submultiplicativity_check",
     "__version__",
 ]

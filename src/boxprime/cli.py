@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from functools import lru_cache, partial
 
-from .bounds import (additive_gap_sandwich, cut_bound,
+from .bounds import (_RATIOS, additive_gap_sandwich, cut_bound,
                      growth_ratio_diagnostics, leading_term_check,
                      multiplicative_gap_sandwich, prime_gap_bound)
 from .counting import graph_connected_totals, graph_totals, inversion_coefficients
@@ -171,30 +171,38 @@ def cmd_wright(args) -> int:
     return 0
 
 
+def _each(check):
+    """Rows of a per-degree check over the degree range."""
+    return lambda inst, ns, depth: [check(inst, n) for n in ns]
+
+
+def _growth_rows(inst, ns, depth):
+    # one walk from degree 1 serves the whole range
+    if ns[0] < 1:
+        raise DomainError("degree must be positive")
+    return growth_ratio_diagnostics(inst, ns[-1])[ns[0] - 1:]
+
+
+_SANDWICH = ("n", "lower", "middle", "upper", "holds", "middle_plain")
+
+# check name -> rows over a degree range (given the cut depth), and their
+# columns; --check offers the names in this order
+BOUNDS_CHECKS = {
+    "eq1": (_each(additive_gap_sandwich), _SANDWICH),
+    "eq2": (_each(multiplicative_gap_sandwich), _SANDWICH),
+    "lem2": (lambda inst, ns, depth: [cut_bound(inst, n, depth) for n in ns],
+             ("n", "depth", "middle", "upper", "holds")),
+    "gap": (_each(prime_gap_bound), ("n", "lhs", "rhs", "holds")),
+    "leading": (_each(leading_term_check),
+                ("n", "pn", "gap", "leading", "residual")),
+    "axioms": (_growth_rows, ("n", *(name for name, _ in _RATIOS))),
+}
+
+
 def cmd_bounds(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    ns = parse_degree_range(args.n)
-    check = args.check
-    if check == "eq1":
-        rows = [additive_gap_sandwich(inst, n) for n in ns]
-        columns = ["n", "lower", "middle", "upper", "holds", "middle_plain"]
-    elif check == "eq2":
-        rows = [multiplicative_gap_sandwich(inst, n) for n in ns]
-        columns = ["n", "lower", "middle", "upper", "holds", "middle_plain"]
-    elif check == "lem2":
-        rows = [cut_bound(inst, n, args.D) for n in ns]
-        columns = ["n", "depth", "middle", "upper", "holds"]
-    elif check == "gap":
-        rows = [prime_gap_bound(inst, n) for n in ns]
-        columns = ["n", "lhs", "rhs", "holds"]
-    elif check == "leading":
-        rows = [leading_term_check(inst, n) for n in ns]
-        columns = ["n", "pn", "gap", "leading", "residual"]
-    else:
-        rows = [row for row in growth_ratio_diagnostics(inst, ns[-1])
-                if row["n"] >= ns[0]]
-        columns = list(rows[0].keys()) if rows else ["n"]
-    emit(rows, columns, args)
+    rows_over, columns = BOUNDS_CHECKS[args.check]
+    emit(rows_over(inst, parse_degree_range(args.n), args.D), columns, args)
     return 0
 
 
@@ -212,6 +220,9 @@ def cmd_functions(args) -> int:
 
 
 def cmd_semiring(args) -> int:
+    # every mode reports on degrees 1..n_max; with none the answer is vacuous
+    if args.n_max < 1:
+        raise DomainError("--n-max must be positive")
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
     if args.monotonicity:
         rows = monotonicity_report(inst, args.n_max)
@@ -286,9 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = subs.add_parser("bounds",
                              help="inequality and growth-ratio reports")
-    bounds.add_argument("--check", required=True,
-                        choices=("eq1", "eq2", "lem2", "gap", "leading",
-                                 "axioms"))
+    bounds.add_argument("--check", required=True, choices=tuple(BOUNDS_CHECKS))
     bounds.add_argument("--n", required=True, help="degree N or range A..B")
     bounds.add_argument("--D", type=int, default=3,
                         help="cut depth for --check lem2")

@@ -64,9 +64,6 @@ class _Window:
                 f"degree {k} absent (window {self.offset}..{self.max_degree})")
         return self.values[k - self.offset]
 
-    def window(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, v) for i, v in enumerate(self.values)]
-
 
 class CountSequence(_Window):
     """Nonnegative integer counts on the dense degree window offset..offset+len-1."""
@@ -148,12 +145,6 @@ def _cycle_index_sums(max_degree: int) -> list[int]:
     sums[0] = 1
     visit(0, 0, 1, (), max_degree, 0)
     return sums
-
-
-def count_graphs_polya(n: int) -> int:
-    """Number of unlabeled simple graphs of order n, by cycle-index counting;
-    one term of graph_totals(n)."""
-    return graph_totals(n).at(n)
 
 
 @lru_cache(maxsize=None)

@@ -46,11 +46,6 @@ class RationalPolynomial:
     def constant(cls, c) -> "RationalPolynomial":
         return cls((Fraction(c),))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -21,8 +21,7 @@ from operator import and_
 
 from .errors import CapacityError, DomainError
 from .graphs import (Graph, _canonical_bits, _graph_from_rows, _induced_rows,
-                     _layers, canonical_form, canonical_key, cartesian_product,
-                     check_canonical_order, empty_graph, is_connected)
+                     _layers, check_canonical_order, is_connected)
 
 # largest order factorized; the 8-cube has 256 vertices
 ORDER_LIMIT = 256
@@ -199,27 +198,3 @@ def factorize(g: Graph) -> tuple[Graph, ...]:
     """
     return tuple(Graph(n, bits) for n, bits in factor_keys(g))
 
-
-def product_of(factors) -> Graph:
-    """Canonical cartesian product of the given graphs; empty input is the unit."""
-    acc = empty_graph(1)
-    for g in factors:
-        acc = cartesian_product(acc, g)
-    return canonical_form(acc)
-
-
-def divisors(g: Graph) -> tuple[Graph, ...]:
-    """Distinct divisors of a connected graph, unit and graph included.
-
-    A divisor is the product of any sub-multiset of the prime factors;
-    results are canonical and sorted by order then packed edges.
-    """
-    primes = factorize(g)
-    seen: dict[tuple[int, int], Graph] = {}
-    subsets = [()]
-    for p in primes:
-        subsets = subsets + [s + (p,) for s in subsets]
-    for sub in subsets:
-        d = product_of(sub)
-        seen.setdefault(canonical_key(d), d)
-    return tuple(sorted(seen.values(), key=canonical_key))

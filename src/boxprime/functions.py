@@ -52,30 +52,6 @@ def _multiplicative_value(rule, g: Graph) -> int:
     return out
 
 
-def divisor_count(g: Graph) -> int:
-    """Number of distinct divisors: product of (exponent + 1)."""
-    return _multiplicative_value(REGISTRY["d"], g)
-
-
-def unitary_divisor_count(g: Graph) -> int:
-    """Number of coprime splits g = D box D': 2 to the distinct-prime count."""
-    return _multiplicative_value(REGISTRY["dstar"], g)
-
-
-def exponent_product(g: Graph) -> int:
-    """Product of the prime exponents; 1 on the unit."""
-    return _multiplicative_value(REGISTRY["beta"], g)
-
-
-def divisor_sum(g: Graph) -> int:
-    """Sum of the orders of all distinct divisors, unit and graph included.
-
-    Distinct sub-multisets of the prime factors are distinct divisors, so
-    a prime of order k with exponent a contributes 1 + k + ... + k^a.
-    """
-    return _multiplicative_value(REGISTRY["sigmastar"], g)
-
-
 def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     """Connected members of the same degree sharing no prime factor with g.
 

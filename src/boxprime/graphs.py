@@ -79,17 +79,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        i, j = _ordered_pair(i, j, self.n)
-        return bool(self.rows[i] >> j & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.rows)
-                for j in range(i + 1, self.n) if row >> j & 1]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((m.bit_count() for m in self.rows), reverse=True))
-
 
 @lru_cache(maxsize=32)
 def _column_major_ranks(n: int) -> tuple[int, ...]:
@@ -160,10 +149,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise DomainError("cycles need at least 3 vertices")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(n: int) -> Graph:
-    return from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def complement(g: Graph) -> Graph:

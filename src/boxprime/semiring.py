@@ -14,8 +14,8 @@ from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .counting import (CountSequence, _as_integer, count_graphs_polya,
-                       euler_transform, graph_connected_totals, graph_totals,
+from .counting import (CountSequence, _as_integer, euler_transform,
+                       graph_connected_totals, graph_totals,
                        multiplicative_transform,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
@@ -334,7 +334,7 @@ def self_complementary_identity(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     """Check 2 * (even-edge count) - (all count) against the enumerated
     self-complementary count at order n."""
     even = sum(1 for g in enumerate_graphs(n, cap) if _even_member(g))
-    lhs = 2 * even - count_graphs_polya(n)
+    lhs = 2 * even - graph_totals(n).at(n)
     rhs = self_complementary_count(n, cap)
     return lhs, rhs, lhs == rhs
 

@@ -14,9 +14,10 @@ from math import comb, factorial, gcd, prod
 
 from boxprime.counting import CountSequence
 from boxprime.errors import CapacityError, DomainError, ParseError
+from boxprime.factor import factorize
 from boxprime.functions import evaluate
 from boxprime.graphs import (DEFAULT_ENUM_CAP, Graph, canonical_form,
-                             canonical_key, cartesian_product,
+                             canonical_key, cartesian_product, empty_graph,
                              enumerate_connected, is_connected)
 
 
@@ -315,6 +316,31 @@ def factorize_by_table(g: Graph) -> tuple[Graph, ...]:
     a, b = witness
     return tuple(sorted(factorize_by_table(a) + factorize_by_table(b),
                         key=canonical_key))
+
+
+def product_of(factors) -> Graph:
+    """Canonical cartesian product of the given graphs; empty input is the unit."""
+    acc = empty_graph(1)
+    for g in factors:
+        acc = cartesian_product(acc, g)
+    return canonical_form(acc)
+
+
+def divisors(g: Graph) -> tuple[Graph, ...]:
+    """Distinct divisors of a connected graph, unit and graph included.
+
+    A divisor is the product of any sub-multiset of the prime factors;
+    results are canonical and sorted by order then packed edges.
+    """
+    primes = factorize(g)
+    seen: dict[tuple[int, int], Graph] = {}
+    subsets = [()]
+    for p in primes:
+        subsets = subsets + [s + (p,) for s in subsets]
+    for sub in subsets:
+        d = product_of(sub)
+        seen.setdefault(canonical_key(d), d)
+    return tuple(sorted(seen.values(), key=canonical_key))
 
 
 def coprime_counts_by_members(inst, n: int, factor_keys) -> dict:

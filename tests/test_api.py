@@ -77,15 +77,23 @@ def test_unread_private_check_sees_leftovers():
 
 
 def _unread_public_definitions(sources: dict) -> list[str]:
-    """Module-level public functions and classes that no module reads and
-    no __all__ exports."""
+    """Module-level public functions and classes, and public methods and
+    properties of module-level classes, that no module reads and no
+    __all__ exports; a method is read by its attribute name."""
     defined = []
     read = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined.extend((module, node.name) for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not node.name.startswith("_"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((module, f"{node.name}.{item.name}", item.name)
+                               for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -97,7 +105,7 @@ def _unread_public_definitions(sources: dict) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name)
-    return [f"{module}: {name}" for module, name in defined
+    return [f"{module}: {label}" for module, label, name in defined
             if name not in read]
 
 
@@ -113,3 +121,18 @@ def test_unread_public_check_sees_leftovers():
                        "def h(): pass\ndef _p(): pass\n",
                "b.py": "from a import g\nimport a\na.C()\n__all__ = ['h']\n"}
     assert _unread_public_definitions(sources) == ["a.py: f"]
+
+
+def test_unread_public_check_sees_methods():
+    sources = {"a.py": "class C:\n"
+                       "    def m(self): pass\n"
+                       "    @property\n"
+                       "    def p(self): pass\n"
+                       "    def __eq__(self, other): pass\n"
+                       "    def _q(self): pass\n"
+                       "class _W:\n"
+                       "    def window(self): pass\n"
+                       "    def at(self): pass\n",
+               "b.py": "from a import C\nC().p\nx.at(1)\n"}
+    assert _unread_public_definitions(sources) == ["a.py: C.m",
+                                                   "a.py: _W.window"]

@@ -138,6 +138,156 @@ def test_bounds_gap_rows():
         "6,2,38,true\n")
 
 
+# stdout of every bounds check on 2..12, byte for byte
+BOUNDS_2_12 = {
+    ("eq1",): (
+        "n,lower,middle,upper,holds,middle_plain\n"
+        "2,0,0,0,true,1\n"
+        "3,1,2,2,true,2\n"
+        "4,2,4,4,true,5\n"
+        "5,8,13,15,true,13\n"
+        "6,27,41,45,true,43\n"
+        "7,145,191,212,true,191\n"
+        "8,1007,1208,1268,true,1214\n"
+        "9,12320,13588,13906,true,13588\n"
+        "10,274575,288366,290038,true,288387\n"
+        "11,12007355,12297299,12314068,true,12297299\n"
+        "12,1019023911,1031335788,1031648368,true,1031335900\n"
+    ),
+    ("eq2",): (
+        "n,lower,middle,upper,holds,middle_plain\n"
+        "2,0,0,0,true,0\n"
+        "3,0,0,0,true,0\n"
+        "4,0,0,0,true,1\n"
+        "5,0,0,0,true,0\n"
+        "6,2,2,2,true,2\n"
+        "7,0,0,0,true,0\n"
+        "8,5,6,6,true,6\n"
+        "9,0,0,0,true,2\n"
+        "10,21,21,21,true,21\n"
+        "11,0,0,0,true,0\n"
+        "12,120,122,124,true,122\n"
+    ),
+    ("lem2",): (
+        "n,depth,middle,upper,holds\n"
+        "2,3,-1,2,false\n"
+        "3,3,0,5,true\n"
+        "4,3,0,5,true\n"
+        "5,3,0,5,true\n"
+        "6,3,0,13,true\n"
+        "7,3,0,13,true\n"
+        "8,3,0,13,true\n"
+        "9,3,3,44,true\n"
+        "10,3,0,44,true\n"
+        "11,3,0,44,true\n"
+        "12,3,10,191,true\n"
+    ),
+    ("lem2", "--D", "4"): (
+        "n,depth,middle,upper,holds\n"
+        "2,4,-1,5,false\n"
+        "3,4,-2,5,false\n"
+        "4,4,0,13,true\n"
+        "5,4,0,13,true\n"
+        "6,4,-2,13,false\n"
+        "7,4,0,13,true\n"
+        "8,4,0,44,true\n"
+        "9,4,-1,44,false\n"
+        "10,4,0,44,true\n"
+        "11,4,0,44,true\n"
+        "12,4,-2,191,false\n"
+    ),
+    ("gap",): (
+        "n,lhs,rhs,holds\n"
+        "2,0,5,true\n"
+        "3,0,12,true\n"
+        "4,1,13,true\n"
+        "5,0,13,true\n"
+        "6,2,38,true\n"
+        "7,0,38,true\n"
+        "8,6,45,true\n"
+        "9,3,167,true\n"
+        "10,21,190,true\n"
+        "11,0,190,true\n"
+        "12,122,1200,true\n"
+    ),
+    ("leading",): (
+        "n,pn,gap,leading,residual\n"
+        "2,4,1,1,0\n"
+        "3,6,2,2,0\n"
+        "4,8,6,6,0\n"
+        "5,10,21,21,0\n"
+        "6,12,122,112,10\n"
+        "7,14,853,853,0\n"
+        "8,16,11132,11117,15\n"
+        "9,18,261300,261080,220\n"
+        "10,20,11716676,11716571,105\n"
+        "11,22,1006700565,1006700565,0\n"
+        "12,24,164059853248,164059830476,22772\n"
+    ),
+    ("axioms",): (
+        "n,connected_over_total,prime_over_connected,connected_step,"
+        "prime_half_step,gap_over_prev_connected,prime_gap_over_half\n"
+        "2,1/2,1,1,0,1,\n"
+        "3,1/2,1,1/2,0,2,\n"
+        "4,6/11,5/6,1/3,1/5,5/2,1\n"
+        "5,21/34,1,2/7,1/21,13/6,0\n"
+        "6,28/39,55/56,3/16,1/55,44/21,1\n"
+        "7,853/1044,1,112/853,2/853,191/112,0\n"
+        "8,11117/12346,11111/11117,853/11117,5/11111,1229/853,6/5\n"
+        "9,65270/68667,261077/261080,11117/261080,5/261077,13588/11117,3/5\n"
+        "10,11716571/12005168,11716550/11716571,261080/11716571,"
+        "21/11716550,288597/261080,1\n"
+        "11,1006700565/1018997864,1,11716571/1006700565,7/335566855,"
+        "12297299/11716571,0\n"
+        "12,41014957619/41272793148,82029915177/82029915238,"
+        "1006700565/164059830476,55/82029915177,1031342116/1006700565,61/55\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(BOUNDS_2_12), ids=" ".join)
+def test_bounds_checks_on_two_to_twelve(check, capsys):
+    assert cli.main(["bounds", "--check", check[0], "--n", "2..12",
+                     *check[1:]]) == 0
+    assert capsys.readouterr() == (BOUNDS_2_12[check], "")
+
+
+def test_bounds_check_choices_follow_the_table(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["bounds", "--check", "nope", "--n", "2..12"])
+    err = capsys.readouterr().err
+    assert "--check {eq1,eq2,lem2,gap,leading,axioms}" in err
+    assert "argument --check: invalid choice: 'nope'" in err
+
+
+@pytest.mark.parametrize("check", ["eq1", "axioms"])
+@pytest.mark.parametrize("degrees", ["0", "0..3"])
+def test_bounds_refuse_degree_zero(check, degrees, capsys):
+    assert cli.main(["bounds", "--check", check, "--n", degrees]) == 3
+    assert capsys.readouterr() == ("", "domain: degree must be positive\n")
+
+
+@pytest.mark.parametrize("mode, one", [
+    ([], "n,S,S_plus,S_box,p\n1,1,1,0,2\n"),
+    (["--monotonicity"], "n,S_plus,S_plus_next\n"),
+    (["--closure"],
+     "instance,n_max,closed,operation,left,right\ngraphs,1,true,,,\n"),
+    (["--self-complementary"], "n,identity,enumerated,equal\n1,1,1,true\n"),
+], ids=["summary", "monotonicity", "closure", "self-complementary"])
+def test_semiring_refuses_an_empty_degree_range(mode, one, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_instance", forbidden)
+        for n_max in ("0", "-5"):
+            assert cli.main(["semiring", *mode, "--n-max", n_max]) == 3
+            assert capsys.readouterr() == ("", "domain: --n-max must be "
+                                               "positive\n")
+    assert cli.main(["semiring", *mode, "--n-max", "1"]) == 0
+    assert capsys.readouterr() == (one, "")
+
+
 def test_functions_stats_rows():
     result = run_cli("functions", "--fn", "d", "--n", "4..5",
                      "--population", "add")

@@ -5,15 +5,15 @@ from hypothesis import given, strategies as st
 
 from boxprime import factor
 from boxprime.errors import CapacityError, DomainError
-from boxprime.factor import (ORDER_LIMIT, divisors, factor_layers, factorize,
-                             is_cartesian_prime, product_of)
+from boxprime.factor import (ORDER_LIMIT, factor_layers, factorize,
+                             is_cartesian_prime)
 from boxprime.graphs import (Graph, canonical_form, canonical_key,
                              cartesian_product, complete_graph, cycle_graph,
                              disjoint_union, empty_graph, enumerate_connected,
-                             from_edges, path_graph, relabel, star_graph)
+                             from_edges, path_graph, relabel)
 from _oracles import (composite_count_by_multisets, composite_map,
-                      composite_set, count_composites, count_primes,
-                      factorize_by_table, layer_masks_full_theta)
+                      composite_set, count_composites, count_primes, divisors,
+                      factorize_by_table, layer_masks_full_theta, product_of)
 
 PRIME_COUNTS = {2: 1, 3: 2, 4: 5, 5: 21, 6: 110, 7: 853, 8: 11111}
 
@@ -66,7 +66,7 @@ def test_primality_points():
     assert is_cartesian_prime(K2)
     assert is_cartesian_prime(K3)
     assert is_cartesian_prime(path_graph(3))
-    assert is_cartesian_prime(star_graph(4))
+    assert is_cartesian_prime(from_edges(4, [(0, 1), (0, 2), (0, 3)]))
     assert not is_cartesian_prime(C4)
     assert not is_cartesian_prime(PRISM)
     assert not is_cartesian_prime(Q3)

@@ -4,17 +4,14 @@ import pytest
 
 from boxprime import factor, functions, graphs, semiring
 from boxprime.errors import CapacityError, DomainError
-from boxprime.factor import divisors
-from boxprime.functions import (REGISTRY, coprime_count, divisor_count,
-                                divisor_sum, evaluate, exponent_product,
-                                population_stats, submultiplicativity_check,
-                                unitary_divisor_count)
+from boxprime.functions import (REGISTRY, coprime_count, evaluate,
+                                population_stats, submultiplicativity_check)
 from boxprime.graphs import (canonical_form, canonical_key,
                              cartesian_product, complete_graph, cycle_graph,
                              empty_graph, enumerate_connected, path_graph)
 from boxprime.semiring import instance_all_graphs, instance_hamming
 
-from _oracles import (coprime_counts_by_members, count_composites,
+from _oracles import (coprime_counts_by_members, count_composites, divisors,
                       factorize_by_table,
                       multiplicative_stats_by_patterns,
                       population_stats_by_enumeration)
@@ -33,36 +30,24 @@ def test_registry_names():
         evaluate("sigma", K2, None)
 
 
-def test_divisor_count_points():
-    assert divisor_count(K1) == 1
-    assert divisor_count(K2) == 2
-    assert divisor_count(C4) == 3
-    assert divisor_count(PRISM) == 4
-    assert divisor_count(Q3) == 4
+def _values(name, inst):
+    return [evaluate(name, g, inst) for g in (K1, K2, C4, PRISM, Q3)]
 
 
-def test_unitary_divisor_count_points():
-    assert unitary_divisor_count(K1) == 1
-    assert unitary_divisor_count(K2) == 2
-    assert unitary_divisor_count(C4) == 2
-    assert unitary_divisor_count(PRISM) == 4
-    assert unitary_divisor_count(Q3) == 2
+def test_divisor_count_points(graphs_instance):
+    assert _values("d", graphs_instance) == [1, 2, 3, 4, 4]
 
 
-def test_exponent_product_points():
-    assert exponent_product(K1) == 1
-    assert exponent_product(K2) == 1
-    assert exponent_product(C4) == 2
-    assert exponent_product(PRISM) == 1
-    assert exponent_product(Q3) == 3
+def test_unitary_divisor_count_points(graphs_instance):
+    assert _values("dstar", graphs_instance) == [1, 2, 2, 4, 2]
 
 
-def test_divisor_sum_points():
-    assert divisor_sum(K1) == 1
-    assert divisor_sum(K2) == 3
-    assert divisor_sum(C4) == 7
-    assert divisor_sum(PRISM) == 12
-    assert divisor_sum(Q3) == 15
+def test_exponent_product_points(graphs_instance):
+    assert _values("beta", graphs_instance) == [1, 1, 2, 1, 3]
+
+
+def test_divisor_sum_points(graphs_instance):
+    assert _values("sigmastar", graphs_instance) == [1, 3, 7, 12, 15]
 
 
 def test_coprime_count_points(graphs_instance):
@@ -93,9 +78,9 @@ def test_multiplicative_on_coprime_pairs(graphs_instance):
             assert left == right, (name, a, b)
 
 
-def test_exponent_product_adds_exponents_per_prime():
+def test_exponent_product_adds_exponents_per_prime(graphs_instance):
     cube = cartesian_product(C4, K2)
-    assert exponent_product(cube) == 3
+    assert evaluate("beta", cube, graphs_instance) == 3
     assert canonical_form(cube) == Q3
 
 
@@ -237,12 +222,13 @@ def test_coprime_count_over_primes_matches_enumeration(instance, top, request):
             population_stats_by_enumeration("phistar", inst, n, "mult"), n
 
 
-def test_divisor_functions_match_divisor_lists():
+def test_divisor_functions_match_divisor_lists(graphs_instance):
     for n in range(1, 9):
         for g in enumerate_connected(n):
             divs = divisors(g)
-            assert divisor_sum(g) == sum(d.n for d in divs)
-            assert divisor_count(g) == len(divs)
+            assert evaluate("sigmastar", g, graphs_instance) == \
+                sum(d.n for d in divs)
+            assert evaluate("d", g, graphs_instance) == len(divs)
 
 
 def test_population_stats_build_no_graph(monkeypatch):
