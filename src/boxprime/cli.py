@@ -88,6 +88,17 @@ def _refuse_past(ns: range, top: int, answer, below: int = 0) -> None:
         answer(max(ns[0], top + 1))
 
 
+def _after_dry_run(report, inst, *args):
+    """report(inst, *args), after a dry run of it on counts that cost
+    nothing: every count within the horizon is 1, and a degree past it, or a
+    bad one, is refused where the real run would refuse it, before any count
+    is made.  The degrees the report reads must not depend on the counts."""
+    one = lambda n: 1
+    report(inst._replace(count_all=one, count_connected=one, count_primes=one),
+           *args)
+    return report(inst, *args)
+
+
 def cmd_census(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
     ns = parse_degree_range(args.n)
@@ -164,6 +175,9 @@ def cmd_wright(args) -> int:
     top = ns[-1]
     totals = graph_totals(top)
     coeffs = inversion_coefficients(totals, order)
+    # refused before any polynomial is derived; the report refuses them too
+    if ns[0] <= 2 * order:
+        raise DomainError("order must exceed twice the truncation order")
     polys = [connected_series_polynomial(s, coeffs) for s in range(order)]
     rows = expansion_error_report(graph_connected_totals(top), polys, ns, order)
     emit(rows, ["n", "R", "truncated", "true", "remainder", "bound", "ratio"],
@@ -185,24 +199,31 @@ def _growth_rows(inst, ns, depth):
 
 _SANDWICH = ("n", "lower", "middle", "upper", "holds", "middle_plain")
 
-# check name -> rows over a degree range (given the cut depth), and their
-# columns; --check offers the names in this order
+# check name -> rows over a degree range (given the cut depth), their
+# columns, and whether a dry run may refuse the range first: leading reads
+# degree p n, and the least prime degree p is a count; --check offers the
+# names in this order
 BOUNDS_CHECKS = {
-    "eq1": (_each(additive_gap_sandwich), _SANDWICH),
-    "eq2": (_each(multiplicative_gap_sandwich), _SANDWICH),
+    "eq1": (_each(additive_gap_sandwich), _SANDWICH, True),
+    "eq2": (_each(multiplicative_gap_sandwich), _SANDWICH, True),
     "lem2": (lambda inst, ns, depth: [cut_bound(inst, n, depth) for n in ns],
-             ("n", "depth", "middle", "upper", "holds")),
-    "gap": (_each(prime_gap_bound), ("n", "lhs", "rhs", "holds")),
+             ("n", "depth", "middle", "upper", "holds"), True),
+    "gap": (_each(prime_gap_bound), ("n", "lhs", "rhs", "holds"), True),
     "leading": (_each(leading_term_check),
-                ("n", "pn", "gap", "leading", "residual")),
-    "axioms": (_growth_rows, ("n", *(name for name, _ in _RATIOS))),
+                ("n", "pn", "gap", "leading", "residual"), False),
+    "axioms": (_growth_rows, ("n", *(name for name, _ in _RATIOS)), True),
 }
 
 
 def cmd_bounds(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    rows_over, columns = BOUNDS_CHECKS[args.check]
-    emit(rows_over(inst, parse_degree_range(args.n), args.D), columns, args)
+    rows_over, columns, dry_run = BOUNDS_CHECKS[args.check]
+    ns = parse_degree_range(args.n)
+    if dry_run:
+        rows = _after_dry_run(rows_over, inst, ns, args.D)
+    else:
+        rows = rows_over(inst, ns, args.D)
+    emit(rows, columns, args)
     return 0
 
 
@@ -219,13 +240,18 @@ def cmd_functions(args) -> int:
     return 0
 
 
+def _summary_rows(inst, n_max: int) -> list[dict]:
+    return [{"n": n, "S": inst.S(n), "S_plus": inst.S_plus(n),
+             "S_box": inst.S_box(n), "p": inst.p} for n in range(1, n_max + 1)]
+
+
 def cmd_semiring(args) -> int:
     # every mode reports on degrees 1..n_max; with none the answer is vacuous
     if args.n_max < 1:
         raise DomainError("--n-max must be positive")
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
     if args.monotonicity:
-        rows = monotonicity_report(inst, args.n_max)
+        rows = _after_dry_run(monotonicity_report, inst, args.n_max)
         columns = ["n", "S_plus", "S_plus_next"]
     elif args.closure:
         result = closure_check(inst, args.n_max)
@@ -250,9 +276,7 @@ def cmd_semiring(args) -> int:
                          "equal": equal})
         columns = ["n", "identity", "enumerated", "equal"]
     else:
-        rows = [{"n": n, "S": inst.S(n), "S_plus": inst.S_plus(n),
-                 "S_box": inst.S_box(n), "p": inst.p}
-                for n in range(1, args.n_max + 1)]
+        rows = _after_dry_run(_summary_rows, inst, args.n_max)
         columns = ["n", "S", "S_plus", "S_box", "p"]
     emit(rows, columns, args)
     return 0

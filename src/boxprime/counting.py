@@ -101,50 +101,54 @@ class SignedSequence(_Window):
         super().__init__(values, offset)
 
 
-def _cycle_index_sums(max_degree: int) -> list[int]:
-    """sums[n] = sum over cycle types of n of (n!/z) 2^e, for n <= max_degree.
+@lru_cache(maxsize=None)
+def _fixed_point_free_sums(top: int) -> tuple:
+    """W[j][c] = sum of (j!/z) 2^e over the fixed-point-free cycle types
+    of j <= top points in c cycles, e the pair orbits among the moved points.
 
-    One depth-first walk visits every partition of every n <= max_degree
-    once: a node is a partition with distinct parts in descending order, and
-    its children append copies of a smaller part, updating e and z by the
-    increments given in graph_totals.  A parent adds each child's term and
-    recurses only into children that have children of their own; parts of
-    size 1 come last and end a branch, and gcd(1, q) = 1 makes their cross
-    sum the number of cycles already chosen.
+    One depth-first walk visits every partition of every j <= top into parts
+    >= 2 once: a node is a partition with distinct parts in descending
+    order, and its children append copies of a smaller part, updating e and
+    z by the increments given in graph_totals.  W[j] does not depend on top.
     """
-    facts = [factorial(k) for k in range(max_degree + 1)]
-    gcds = [[gcd(p, q) for q in range(max_degree + 1)]
-            for p in range(max_degree + 1)]
-    sums = [0] * (max_degree + 1)
+    facts = [factorial(k) for k in range(top + 1)]
+    gcds = [[gcd(p, q) for q in range(top + 1)] for p in range(top + 1)]
+    table = [[1]] + [[0] * (j // 2 + 1) for j in range(1, top + 1)]
 
-    def visit(s: int, e: int, z: int, chosen: tuple, top: int,
+    def visit(s: int, e: int, z: int, chosen: tuple, largest: int,
               cycles: int) -> None:
-        for p in range(min(top, max_degree - s), 1, -1):
+        for p in range(min(largest, top - s), 1, -1):
             # each copy of p gains cross, plus p per copy already chosen
             row = gcds[p]
             cross = p // 2
             for q, mq in chosen:
                 cross += mq * row[q]
             m, sp, ep, zp = 0, s, e, z
-            while sp + p <= max_degree:
+            while sp + p <= top:
                 m += 1
                 sp += p
                 ep += cross + p * (m - 1)
                 zp *= p * m
-                sums[sp] += (facts[sp] // zp) << ep
-                if sp < max_degree:
+                table[sp][cycles + m] += (facts[sp] // zp) << ep
+                if p > 2 and sp + 2 <= top:
                     visit(sp, ep, zp, chosen + ((p, m),), p - 1, cycles + m)
-        m, sp, ep, zp = 0, s, e, z
-        while sp < max_degree:
-            m += 1
-            sp += 1
-            ep += cycles + m - 1
-            zp *= m
-            sums[sp] += (facts[sp] // zp) << ep
 
-    sums[0] = 1
-    visit(0, 0, 1, (), max_degree, 0)
-    return sums
+    visit(0, 0, 1, (), top, 0)
+    return tuple(tuple(row) for row in table)
+
+
+def _cycle_index_sums(max_degree: int) -> list[int]:
+    """sums[n] = sum over cycle types of n of (n!/z) 2^e, for n <= max_degree.
+
+    A type of n with f fixed points is a fixed-point-free type on one of
+    C(n, f) sets of n - f points.  A fixed point shares one pair orbit with
+    each of its c cycles, as gcd(1, q) = 1, and one with each other fixed
+    point: sums[n] = sum_{f, c} C(n, f) W[n-f][c] 2^(f c + C(f, 2)).
+    """
+    table = _fixed_point_free_sums(max_degree)
+    return [sum(comb(n, f) * sum(w << f * c for c, w in enumerate(table[n - f]))
+                << comb(f, 2) for f in range(n + 1))
+            for n in range(max_degree + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -157,21 +161,19 @@ def graph_totals(max_degree: int) -> CountSequence:
     and n!/z permutations share the type, z = prod_p p^m_p m_p!.  Adding
     the m-th cycle of length p to a type raises e by
     floor(p/2) + p (m-1) + sum_q m_q gcd(p, q) over the other lengths q and
-    multiplies z by p m, so one walk over the types of every order at once
-    updates e and z instead of recomputing them (_cycle_index_sums).
+    multiplies z by p m, so one walk over the fixed-point-free types updates
+    e and z instead of recomputing them, and fixed points join in closed
+    form (_cycle_index_sums).
     """
     if max_degree < 0:
         raise DomainError("order must be nonnegative")
     if max_degree > POLYA_CAP:
         raise CapacityError(
             f"cycle-index count of order {max_degree} exceeds cap {POLYA_CAP}")
-    sums = _cycle_index_sums(max_degree)
-    values = []
-    for n, total in enumerate(sums):
-        q, r = divmod(total, factorial(n))
-        assert r == 0
-        values.append(q)
-    return CountSequence.totals(values)
+    quotients = [divmod(total, factorial(n))
+                 for n, total in enumerate(_cycle_index_sums(max_degree))]
+    assert all(r == 0 for _, r in quotients)
+    return CountSequence.totals(q for q, _ in quotients)
 
 
 @lru_cache(maxsize=None)

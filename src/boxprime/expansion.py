@@ -2,8 +2,9 @@
 
 The count of unlabeled graphs of order n expands as a series whose s-th term
 is a polynomial in n times 2^C(n-s,2) / (n-s)!.  The polynomials for the
-total count are fixed constants; the ones for the connected count follow
-from them and the inversion coefficients of the totals sequence.
+total count sum over the cycle types without fixed points that the
+cycle-index count walks; the ones for the connected count follow from them
+and the inversion coefficients of the totals sequence.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .counting import SignedSequence
-from .errors import CapacityError, DomainError, read_only
+from .counting import SignedSequence, _fixed_point_free_sums
+from .errors import DomainError, read_only
 
 
 def _normalize(coeffs) -> tuple[Fraction, ...]:
@@ -73,50 +74,47 @@ class RationalPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, c) -> "RationalPolynomial":
-        """The polynomial x -> self(x + c), by Horner composition."""
-        linear = RationalPolynomial((Fraction(c), Fraction(1)))
-        acc = RationalPolynomial((Fraction(0),))
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc * linear + RationalPolynomial.constant(self.coeffs[k])
-        return acc
+
+def _falling_coefficients(s: int) -> list[list[Fraction]]:
+    """a[t][c], c <= t <= s, with T_t(n) = sum_c a[t][c] (n-t)...(n-t-c+1).
+
+    A fixed-point-free type of j = t + c points in c cycles adds W[j][c]
+    / (j! 2^C(c,2)) (n-t)!/(n-j)! times the weight of term t to S(n), as
+    counting._cycle_index_sums shows; c <= t, so W up to 2s suffices.
+    """
+    if s < 0:
+        raise DomainError("series index must be nonnegative")
+    table = _fixed_point_free_sums(2 * s)
+    return [[Fraction(table[t + c][c], factorial(t + c) << comb(c, 2))
+             for c in range(t + 1)] for t in range(s + 1)]
 
 
-# Ascending numerators over a common denominator for the total-count series.
-_TOTAL_SERIES = {
-    0: ((1,), 1),
-    1: ((-1, 1), 1),
-    2: ((14, -13, 3), 3),
-    3: ((-225, 177, -46, 4), 3),
-    4: ((99656, -75474, 21160, -2610, 120), 45),
-}
-
-SERIES_CAP = max(_TOTAL_SERIES)
+def _in_falling_factorials(s: int, coeffs) -> RationalPolynomial:
+    """sum_c coeffs[c] (n-s)(n-s-1)...(n-s-c+1) in n, by Horner's rule."""
+    acc = RationalPolynomial(())
+    for c in range(len(coeffs) - 1, -1, -1):
+        acc = (acc * RationalPolynomial((-s - c, 1))
+               + RationalPolynomial.constant(coeffs[c]))
+    return acc
 
 
 def total_series_polynomial(s: int) -> RationalPolynomial:
     """Coefficient polynomial of the s-th total-count expansion term."""
-    if s < 0:
-        raise DomainError("series index must be nonnegative")
-    if s not in _TOTAL_SERIES:
-        raise CapacityError(f"series term {s} exceeds cap {SERIES_CAP}")
-    nums, den = _TOTAL_SERIES[s]
-    return RationalPolynomial(tuple(Fraction(a, den) for a in nums))
+    return _in_falling_factorials(s, _falling_coefficients(s)[s])
 
 
 def connected_series_polynomial(s: int, coeffs: SignedSequence) -> RationalPolynomial:
     """Coefficient polynomial of the s-th connected-count expansion term.
 
-    Combines the total-count polynomials with the inversion coefficients of
-    the totals sequence: term s is the total polynomial plus B(s) plus the
-    lower total polynomials re-centered by their index gap.
+    Combines the total-count polynomials T with the inversion coefficients
+    B of the totals sequence, B(0) = 1: term s is sum_r B(r) T_{s-r}(n-r),
+    and every T_{s-r}(n-r) is a sum on the falling factorials of n - s.
     """
-    if s == 0:
-        return RationalPolynomial.constant(1)
-    p = total_series_polynomial(s) + RationalPolynomial.constant(coeffs.at(s))
-    for r in range(1, s):
-        p = p + coeffs.at(r) * total_series_polynomial(s - r).shift(-r)
-    return p
+    a = _falling_coefficients(s)
+    b = [1] + [coeffs.at(r) for r in range(1, s + 1)]
+    return _in_falling_factorials(s, [
+        sum(b[r] * a[s - r][c] for r in range(s - c + 1))
+        for c in range(s + 1)])
 
 
 def expansion_term_weight(n: int, s: int) -> Fraction:

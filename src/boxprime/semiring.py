@@ -325,9 +325,10 @@ def closure_check(inst: SemiringInstance, n_max: int) -> dict:
 
 
 def self_complementary_count(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Graphs of order n isomorphic to their complement, by enumeration."""
+    """Graphs of order n isomorphic to their complement, by enumeration;
+    the enumerated graphs are canonical, so only complements are searched."""
     return sum(1 for g in enumerate_graphs(n, cap)
-               if canonical_key(complement(g)) == canonical_key(g))
+               if canonical_key(complement(g)) == (g.n, g.bits))
 
 
 def self_complementary_identity(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:

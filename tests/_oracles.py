@@ -203,24 +203,37 @@ def _partitions(m: int, largest: int):
             yield (part,) + rest
 
 
+def _cycle_type_term(parts) -> int:
+    """(n!/z) 2^e for the cycle type with these parts, recomputing the
+    pair-orbit exponent e and centralizer order z from scratch."""
+    part = list(Counter(parts).items())
+    e = 0
+    z = 1
+    for i, (p, m) in enumerate(part):
+        e += m * (p // 2) + p * comb(m, 2)
+        e += m * sum(mq * gcd(p, q) for q, mq in part[:i])
+        z *= p ** m * factorial(m)
+    return (1 << e) * (factorial(sum(parts)) // z)
+
+
 def count_graphs_by_cycle_types(n: int) -> int:
-    """Unlabeled graphs of order n by the cycle-index sum, recomputing the
-    pair-orbit exponent e and centralizer order z for each cycle type of n
-    from scratch: (1/n!) sum over types of (n!/z) 2^e."""
+    """Unlabeled graphs of order n by the cycle-index sum over the cycle
+    types of n: (1/n!) sum over types of (n!/z) 2^e."""
     nf = factorial(n)
-    total = 0
-    for parts in _partitions(n, n):
-        part = list(Counter(parts).items())
-        e = 0
-        z = 1
-        for i, (p, m) in enumerate(part):
-            e += m * (p // 2) + p * comb(m, 2)
-            e += m * sum(mq * gcd(p, q) for q, mq in part[:i])
-            z *= p ** m * factorial(m)
-        total += (1 << e) * (nf // z)
+    total = sum(_cycle_type_term(parts) for parts in _partitions(n, n))
     q, r = divmod(total, nf)
     assert r == 0
     return q
+
+
+def fixed_point_free_sums_by_partitions(j: int) -> list[int]:
+    """W[j][c] for c = 0..j//2: the sum of (j!/z) 2^e over the partitions
+    of j into c parts, none of them 1."""
+    row = [0] * (j // 2 + 1)
+    for parts in _partitions(j, j):
+        if 1 not in parts:
+            row[len(parts)] += _cycle_type_term(parts)
+    return row
 
 
 def multiplicative_stats_by_patterns(rule, primes_at, n: int) -> tuple:

@@ -79,9 +79,11 @@ def test_unread_private_check_sees_leftovers():
 def _unread_public_definitions(sources: dict) -> list[str]:
     """Module-level public functions and classes, and public methods and
     properties of module-level classes, that no module reads and no
-    __all__ exports; a method is read by its attribute name."""
+    __all__ exports; a module-level definition is read by name or by
+    attribute, a method only by attribute."""
     defined = []
-    read = set()
+    names = set()
+    attributes = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -97,16 +99,17 @@ def _unread_public_definitions(sources: dict) -> list[str]:
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) == "__all__" for t in node.targets):
-                read.update(ast.literal_eval(node.value))
+                names.update(ast.literal_eval(node.value))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                read.add(node.name)
+                names.add(node.name)
     return [f"{module}: {label}" for module, label, name in defined
-            if name not in read]
+            if name not in attributes
+            and ("." in label or name not in names)]
 
 
 def test_every_public_definition_is_read_or_exported():
@@ -136,3 +139,17 @@ def test_unread_public_check_sees_methods():
                "b.py": "from a import C\nC().p\nx.at(1)\n"}
     assert _unread_public_definitions(sources) == ["a.py: C.m",
                                                    "a.py: _W.window"]
+
+
+def test_unread_public_check_reads_methods_only_by_attribute():
+    # a local or a module-level name that shares a method's name does not
+    # read the method
+    sources = {"a.py": "class C:\n"
+                       "    def shift(self): pass\n"
+                       "    def at(self): pass\n"
+                       "def f(g):\n"
+                       "    shift = 1\n"
+                       "    return shift + g.at(1)\n"
+                       "def at(): pass\n",
+               "b.py": "from a import C, f, at\n"}
+    assert _unread_public_definitions(sources) == ["a.py: C.shift"]

@@ -128,6 +128,20 @@ def test_wright_report_row():
         "8,3,3270656/315,11117,231199/315,512,231199/161280\n")
 
 
+def test_wright_answers_past_the_fourth_term():
+    # connected graphs of order 13..20 (OEIS A001349)
+    connected = (50335907869219, 29003487462848061, 31397381142761241960,
+                 63969560113225176176277, 245871831682084026519528568,
+                 1787331725248899088890200576580,
+                 24636021429399867655322650759681644,
+                 645465483198722799426731128794502283004)
+    result = run_cli("wright", "--R", "6", "--n", "13..20")
+    assert result.returncode == 0 and result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert lines[0] == "n,R,truncated,true,remainder,bound,ratio"
+    assert [int(line.split(",")[3]) for line in lines[1:]] == list(connected)
+
+
 def test_bounds_gap_rows():
     result = run_cli("bounds", "--check", "gap", "--n", "4..6")
     assert result.returncode == 0
@@ -389,6 +403,17 @@ def test_wright_cycle_index_cap_is_checked_before_the_walk(monkeypatch,
     assert capsys.readouterr().err.startswith("capacity: cycle-index")
 
 
+def test_wright_refuses_short_orders_before_any_polynomial(monkeypatch,
+                                                          capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a polynomial was derived")
+
+    monkeypatch.setattr(cli, "connected_series_polynomial", forbidden)
+    assert cli.main(["wright", "--R", "16", "--n", "20..32"]) == 3
+    assert capsys.readouterr() == (
+        "", "domain: order must exceed twice the truncation order\n")
+
+
 @pytest.mark.parametrize("argv, err", [
     # unions with K1 reach order n_max - 1; the first order past the cap
     # is named, as a walk in ascending order would meet it
@@ -425,6 +450,25 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
      "even: member enumeration at 9 beyond horizon 8"),
     (["functions", "--fn", "phistar", "--n", "2..30"],
      "graphs: degree 25 beyond horizon 24"),
+    (["semiring", "--instance", "even", "--n-max", "9"],
+     "even: degree 9 beyond horizon 8"),
+    (["semiring", "--instance", "even", "--monotonicity", "--n-max", "9"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "eq1", "--instance", "even", "--n", "1..9"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "eq2", "--instance", "even", "--n", "2..9"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "gap", "--instance", "even", "--n", "1..9"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "axioms", "--instance", "even", "--n", "1..9"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "lem2", "--instance", "even", "--n", "1..20"],
+     "even: degree 9 beyond horizon 8"),
+    (["bounds", "--check", "lem2", "--instance", "even", "--n", "1",
+      "--D", "10"], "even: degree 9 beyond horizon 8"),
+    # the first degree the rows would read past the horizon is named
+    (["bounds", "--check", "eq1", "--instance", "even", "--n", "12"],
+     "even: degree 11 beyond horizon 8"),
 ])
 def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
                                                          argv, err):

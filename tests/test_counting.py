@@ -16,6 +16,7 @@ from _oracles import (composite_count_by_multisets,
                       count_graphs_by_cycle_types,
                       euler_inverse_by_mobius,
                       euler_transform_by_divisor_sums,
+                      fixed_point_free_sums_by_partitions,
                       multiplicative_partition_count)
 
 TOTALS_THROUGH_12 = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668,
@@ -37,6 +38,14 @@ def test_polya_totals_match_cycle_type_oracle():
     totals = graph_totals(POLYA_CAP)
     for n in range(POLYA_CAP + 1):
         assert totals.at(n) == count_graphs_by_cycle_types(n), n
+
+
+def test_fixed_point_free_table_matches_partition_oracle():
+    table = counting._fixed_point_free_sums(16)
+    for j in range(17):
+        assert list(table[j]) == fixed_point_free_sums_by_partitions(j), j
+    # a row does not depend on the top order of its table
+    assert counting._fixed_point_free_sums(9) == table[:10]
 
 
 def test_polya_totals_are_prefixes_of_the_largest_window():
