@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .bounds import (_RATIOS, additive_gap_sandwich, cut_bound,
                      growth_ratio_diagnostics, leading_term_check,
@@ -33,9 +33,10 @@ from .factor import _is_prime_number, check_order, factor_keys
 from .graph6 import encode_graph6, graph6_order, parse_graph6
 from .graphs import (DEFAULT_ENUM_CAP, Graph, check_canonical_order,
                      check_enumeration)
-from .functions import REGISTRY, population_horizon, population_stats
-from .semiring import (INSTANCE_BUILDERS, build_instance, closure_check,
-                       monotonicity_report, self_complementary_identity)
+from .functions import REGISTRY, population_stats
+from .semiring import (INSTANCE_BUILDERS, DryRun, build_instance,
+                       closure_check, monotonicity_report,
+                       self_complementary_identity)
 from .serialize import rows_to_csv, rows_to_json
 
 # --enum-cap ceiling: order 9 has 274668 graphs, order 10 has 12005168
@@ -66,9 +67,12 @@ def parse_degree_range(text: str) -> range:
 def write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def emit(rows, columns, args) -> None:
@@ -79,38 +83,24 @@ def emit(rows, columns, args) -> None:
     write_text(text, args.out)
 
 
-def _refuse_past(ns: range, top: int, answer, below: int = 0) -> None:
-    """Ask answer for the first degree of ns past top, before any work below
-    it; degrees under `below` may fail on their own, so they go first."""
-    if ns[-1] > top:
-        for n in range(ns[0], min(below, top + 1)):
-            answer(n)
-        answer(max(ns[0], top + 1))
-
-
 def _after_dry_run(report, inst, *args):
-    """report(inst, *args), after a dry run of it on counts that cost
-    nothing: every count within the horizon is 1, and a degree past it, or a
-    bad one, is refused where the real run would refuse it, before any count
-    is made.  The degrees the report reads must not depend on the counts."""
-    one = lambda n: 1
-    report(inst._replace(count_all=one, count_connected=one, count_primes=one),
-           *args)
+    """report(inst, *args), after a dry run of it on DryRun(inst), which
+    counts and enumerates nothing: a degree past a horizon, or a bad one,
+    is refused where the real run would refuse it, before any work.  The
+    degrees the report reads must not depend on the counts."""
+    report(DryRun(inst), *args)
     return report(inst, *args)
+
+
+def _census_rows(inst, ns):
+    # the empty graph is a member but has no connectivity or primality
+    return [{"n": n, "S": inst.S(n), "S_plus": inst.S_plus(n) if n else None,
+             "S_box": inst.S_box(n) if n else None} for n in ns]
 
 
 def cmd_census(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    ns = parse_degree_range(args.n)
-    _refuse_past(ns, inst.add_horizon, inst.S)
-    rows = []
-    for n in ns:
-        # the empty graph is a member but has no connectivity or primality
-        if n == 0:
-            rows.append({"n": n, "S": inst.S(0), "S_plus": None, "S_box": None})
-        else:
-            rows.append({"n": n, "S": inst.S(n), "S_plus": inst.S_plus(n),
-                         "S_box": inst.S_box(n)})
+    rows = _after_dry_run(_census_rows, inst, parse_degree_range(args.n))
     emit(rows, ["n", "S", "S_plus", "S_box"], args)
     return 0
 
@@ -227,14 +217,14 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _function_rows(inst, ns, name: str, population: str) -> list[dict]:
+    return [population_stats(name, inst, n, population) for n in ns]
+
+
 def cmd_functions(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    ns = parse_degree_range(args.n)
-    stats = partial(population_stats, args.fn, inst, population=args.population)
-    # degree 1 has no prime, so the mult population refuses it
-    _refuse_past(ns, population_horizon(args.fn, inst, args.population), stats,
-                 below=2)
-    rows = [stats(n) for n in ns]
+    rows = _after_dry_run(_function_rows, inst, parse_degree_range(args.n),
+                          args.fn, args.population)
     emit(rows, ["n", "population", "count", "sum", "mean", "variance", "max"],
          args)
     return 0

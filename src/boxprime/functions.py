@@ -125,29 +125,11 @@ def _over_members(rule, inst: SemiringInstance, n: int, plus, weight):
     return series[n]
 
 
-def _by_arithmetic(rule, inst: SemiringInstance, population: str) -> bool:
-    # unique factorization gives every multiplicative function from the
-    # prime counts, and a prime shares a factor only with itself
-    return inst.unique_factorization and (rule is not None
-                                          or population == "mult")
-
-
-def population_horizon(name: str, inst: SemiringInstance,
-                       population: str) -> int:
-    """The last degree population_stats answers on its path."""
-    if _by_arithmetic(_rule(name), inst, population):
-        return inst.add_horizon
-    return inst.enum_horizon
-
-
 def _moments_by_factorization(rule, inst: SemiringInstance, n: int,
                               population: str) -> tuple:
     """count, sum, sum of squares and maximum from the prime counts alone;
     the maximum is meaningless when the count is 0."""
     if population == "mult":
-        if n == 1:
-            raise DomainError(
-                "the one-vertex unit is neither prime nor composite")
         # a prime of degree n is its own factorization, exponent 1
         count = inst.S_box(n)
         value = inst.S_plus(n) - 1 if rule is None else rule(n, 1)
@@ -173,7 +155,13 @@ def population_stats(name: str, inst: SemiringInstance, n: int,
     if population not in ("add", "mult"):
         raise DomainError(
             f"unknown population {population!r}; use 'add' or 'mult'")
-    if _by_arithmetic(rule, inst, population):
+    # refused before a path is chosen: a population without members, as in
+    # a dry run, would otherwise never meet it
+    if population == "mult" and n == 1:
+        raise DomainError("the one-vertex unit is neither prime nor composite")
+    # unique factorization gives every multiplicative function from the
+    # prime counts, and a prime shares a factor only with itself
+    if inst.unique_factorization and (rule is not None or population == "mult"):
         count, total, squares, top = _moments_by_factorization(
             rule, inst, n, population)
     else:

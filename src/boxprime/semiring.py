@@ -14,8 +14,8 @@ from collections import namedtuple
 from functools import cache
 from math import comb
 
-from .counting import (CountSequence, _as_integer, euler_transform,
-                       graph_connected_totals, graph_totals,
+from .counting import (POLYA_CAP, CountSequence, _as_integer,
+                       euler_transform, graph_connected_totals, graph_totals,
                        multiplicative_transform,
                        prime_counts_by_factorization)
 from .errors import CapacityError, DomainError
@@ -24,7 +24,6 @@ from .graphs import (DEFAULT_ENUM_CAP, Graph, _component_masks, canonical_key,
                      cartesian_product, complement, disjoint_union,
                      enumerate_graphs, induced_subgraph, is_connected)
 
-ALL_GRAPHS_HORIZON = 24
 EVEN_HORIZON = 8
 HAMMING_HORIZON = 64
 
@@ -137,6 +136,23 @@ class SemiringInstance(namedtuple(
         return self.prime_rule(g)
 
 
+class DryRun(SemiringInstance):
+    """An instance with every count 1 and no members, that counts and
+    enumerates nothing: a report run on DryRun(inst) meets every refusal of
+    a degree the run on inst would meet, and meets it first."""
+
+    __slots__ = ()
+
+    def __new__(cls, inst: SemiringInstance):
+        one = lambda n: 1
+        return cls._make(inst._replace(count_all=one, count_connected=one,
+                                       count_primes=one))
+
+    def members(self, n: int) -> tuple[Graph, ...]:
+        self.check_members(n)
+        return ()
+
+
 def is_complete(g: Graph) -> bool:
     return g.edge_count == comb(g.n, 2)
 
@@ -149,7 +165,7 @@ def _is_hamming_member(g: Graph) -> bool:
 
 def _window(n: int) -> int:
     """The least multiple of 8 covering degree n: the all-graphs counts are
-    built to 8, 16 or 24, as far as the first degree asked for needs."""
+    built to 8, 16, 24 or 32, as far as the first degree asked for needs."""
     return max(8, -(-n // 8) * 8)
 
 
@@ -168,7 +184,7 @@ def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """
     return SemiringInstance(
         name="graphs",
-        add_horizon=ALL_GRAPHS_HORIZON,
+        add_horizon=POLYA_CAP,
         enum_horizon=enum_cap,
         count_all=lambda n: graph_totals(_window(n)).at(n),
         count_connected=lambda n: graph_connected_totals(_window(n)).at(n),

@@ -1,3 +1,4 @@
+import errno
 import functools
 import io
 import json
@@ -330,9 +331,9 @@ def test_functions_past_the_enumeration_cap():
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == \
         f"9,mult,261077,{261077 * 261079},261079,0,261079"
-    assert run_cli("functions", "--fn", "phistar", "--n", "25").returncode == 2
+    assert run_cli("functions", "--fn", "phistar", "--n", "33").returncode == 2
     assert run_cli("functions", "--fn", "d", "--n", "1").returncode == 3
-    assert run_cli("functions", "--fn", "d", "--n", "25", "--population",
+    assert run_cli("functions", "--fn", "d", "--n", "33", "--population",
                    "add").returncode == 2
 
 
@@ -374,9 +375,9 @@ def test_identical_invocations_are_byte_identical():
 
 
 def test_capacity_exit_code():
-    result = run_cli("census", "--instance", "graphs", "--n", "25")
+    result = run_cli("census", "--instance", "graphs", "--n", "33")
     assert result.returncode == 2
-    assert "25" in result.stderr
+    assert "33" in result.stderr
 
 
 def test_enum_cap_ceiling_is_checked_before_any_instance(monkeypatch, capsys):
@@ -437,10 +438,36 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
     assert walked == []
 
 
+def _refusal_cases():
+    """Every report that reads an instance, on degrees 2 to one past the
+    horizon of its path, with the refusal that names that degree."""
+    # instance -> the horizon of its counts; every enumeration stops at 8
+    for name, top in (("graphs", 32), ("even", 8), ("hamming", 64)):
+        past = f"{name}: degree {top + 1} beyond horizon {top}"
+        reports = [["census"]] + [["bounds", "--check", check] for check in
+                                  ("eq1", "eq2", "lem2", "gap", "axioms")]
+        for argv in reports:
+            yield [*argv, "--instance", name, "--n", f"2..{top + 1}"], past
+        for fn in ("d", "phistar"):
+            for population in ("add", "mult"):
+                argv = ["functions", "--fn", fn, "--population", population,
+                        "--instance", name]
+                # without unique factorization every population is
+                # enumerated, and with it phistar over connected members is
+                if name == "even" or (fn, population) == ("phistar", "add"):
+                    yield ([*argv, "--n", "2..9"],
+                           f"{name}: member enumeration at 9 beyond horizon 8")
+                else:
+                    yield [*argv, "--n", f"2..{top + 1}"], past
+        for mode in ([], ["--monotonicity"]):
+            yield (["semiring", *mode, "--instance", name,
+                    "--n-max", str(top + 1)], past)
+
+
 @pytest.mark.parametrize("argv, err", [
     (["census", "--instance", "even", "--n", "1..9"],
      "even: degree 9 beyond horizon 8"),
-    (["census", "--n", "20..30"], "graphs: degree 25 beyond horizon 24"),
+    (["census", "--n", "28..38"], "graphs: degree 33 beyond horizon 32"),
     (["functions", "--fn", "phistar", "--n", "7..9", "--population", "add"],
      "graphs: member enumeration at 9 beyond horizon 8"),
     (["functions", "--fn", "phistar", "--n", "2..9", "--population", "add",
@@ -448,8 +475,8 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
      "even: member enumeration at 9 beyond horizon 8"),
     (["functions", "--fn", "d", "--n", "2..9", "--instance", "even"],
      "even: member enumeration at 9 beyond horizon 8"),
-    (["functions", "--fn", "phistar", "--n", "2..30"],
-     "graphs: degree 25 beyond horizon 24"),
+    (["functions", "--fn", "phistar", "--n", "2..38"],
+     "graphs: degree 33 beyond horizon 32"),
     (["semiring", "--instance", "even", "--n-max", "9"],
      "even: degree 9 beyond horizon 8"),
     (["semiring", "--instance", "even", "--monotonicity", "--n-max", "9"],
@@ -469,6 +496,8 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
     # the first degree the rows would read past the horizon is named
     (["bounds", "--check", "eq1", "--instance", "even", "--n", "12"],
      "even: degree 11 beyond horizon 8"),
+    *(pytest.param(argv, err, id=" ".join(argv))
+      for argv, err in _refusal_cases()),
 ])
 def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
                                                          argv, err):
@@ -482,15 +511,33 @@ def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
     assert walked == []
 
 
-def test_unit_degree_is_refused_before_the_horizon(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--n", "1..40"], id="graphs"),
+    # the even family enumerates its population, and the dry run lists no
+    # member, so the unit must be refused before a path is chosen
+    pytest.param(["--n", "1..9", "--instance", "even"], id="even"),
+])
+def test_unit_degree_is_refused_before_the_horizon(monkeypatch, capsys, argv):
     # an ascending walk meets the unit before the horizon, and so does the
     # check that runs first
     walked = []
     monkeypatch.setattr(graphs, "_enumerate", walked.append)
-    assert cli.main(["functions", "--fn", "d", "--n", "1..30"]) == 3
-    assert capsys.readouterr().err == \
-        "domain: the one-vertex unit is neither prime nor composite\n"
+    assert cli.main(["functions", "--fn", "d", *argv]) == 3
+    assert capsys.readouterr() == (
+        "", "domain: the one-vertex unit is neither prime nor composite\n")
     assert walked == []
+
+
+@pytest.mark.parametrize("argv", [["census", "--n", "2"], ["factor", "A_"]])
+@pytest.mark.parametrize("missing", [True, False],
+                         ids=["missing directory", "directory"])
+def test_out_to_a_path_that_cannot_be_written(tmp_path, capsys, argv,
+                                              missing):
+    target = tmp_path / "missing" / "out.txt" if missing else tmp_path
+    reason = os.strerror(errno.ENOENT if missing else errno.EISDIR)
+    assert cli.main([*argv, "--out", str(target)]) == 3
+    assert capsys.readouterr() == (
+        "", f"domain: cannot write {target}: {reason}\n")
 
 
 def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):
@@ -602,7 +649,7 @@ def test_degree_range_is_lazy():
     assert isinstance(degrees, range) and len(degrees) == 10 ** 12 + 1
     result = run_cli("census", "--n", "0..1000000000000")
     assert result.returncode == 2
-    assert "25" in result.stderr
+    assert "33" in result.stderr
 
 
 def test_domain_exit_code():

@@ -277,8 +277,8 @@ def test_population_stats_edge_orders(graphs_instance, hamming_instance):
         with pytest.raises(DomainError):
             population_stats("phistar", inst, 1, "mult")
     with pytest.raises(CapacityError):
-        population_stats("phistar", graphs_instance, 25, "mult")
+        population_stats("phistar", graphs_instance, 33, "mult")
     with pytest.raises(CapacityError):
-        population_stats("d", graphs_instance, 25, "add")
+        population_stats("d", graphs_instance, 33, "add")
     with pytest.raises(CapacityError):
         population_stats("d", hamming_instance, 65, "mult")

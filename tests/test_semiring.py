@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boxprime import counting, factor, graphs, semiring
-from boxprime.counting import CountSequence, euler_transform
+from boxprime.counting import POLYA_CAP, CountSequence, euler_transform
 from boxprime.errors import CapacityError, DomainError
 from boxprime.factor import is_cartesian_prime
 from boxprime.graphs import (Graph, canonical_form, cartesian_product,
@@ -14,7 +14,9 @@ from boxprime.semiring import (INSTANCE_BUILDERS, build_instance,
                                closure_check, instance_all_graphs,
                                monotonicity_report, self_complementary_count,
                                self_complementary_identity)
-from _oracles import (composite_set, count_composites, even_member_composites,
+from _oracles import (composite_count_by_multisets, composite_set,
+                      count_composites, count_graphs_by_cycle_types,
+                      euler_inverse_by_mobius, even_member_composites,
                       multiplicative_partition_count)
 
 GRAPH_TOTALS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -37,6 +39,21 @@ def test_graphs_prime_counts_match_composite_tables(graphs_instance):
     inst = graphs_instance
     for n in range(2, 17):
         assert inst.S_box(n) == inst.S_plus(n) - count_composites(n), n
+
+
+def test_graphs_counts_to_the_horizon_match_independent_oracles(
+        graphs_instance):
+    # the last window, 25..32, which the composite tables do not reach
+    inst, top = graphs_instance, POLYA_CAP
+    assert inst.add_horizon == top
+    degrees = range(25, top + 1)
+    assert [inst.S(n) for n in degrees] == \
+        [count_graphs_by_cycle_types(n) for n in degrees]
+    totals = CountSequence.totals([inst.S(n) for n in range(top + 1)])
+    connected = euler_inverse_by_mobius(totals, top)
+    assert [inst.S_plus(n) for n in degrees] == [connected.at(n) for n in degrees]
+    assert [inst.S_plus(n) - inst.S_box(n) for n in degrees] == \
+        [composite_count_by_multisets(n, inst.S_box) for n in degrees]
 
 
 def test_graphs_prime_counts_build_no_graph(monkeypatch):
@@ -134,9 +151,9 @@ def test_sequence_access_conventions(graphs_instance):
     with pytest.raises(DomainError):
         inst.S(-1)
     with pytest.raises(CapacityError):
-        inst.S(25)
+        inst.S(33)
     with pytest.raises(CapacityError):
-        inst.S_box(25)
+        inst.S_box(33)
 
 
 def test_membership(graphs_instance, even_instance, hamming_instance):
@@ -251,11 +268,11 @@ def test_graphs_instance_counts_only_as_far_as_asked(monkeypatch):
 def test_graphs_instance_sweep_walks_each_window_once(monkeypatch):
     walked = _record_cycle_index_walks(monkeypatch)
     inst = instance_all_graphs()
-    for n in range(1, 25):
+    for n in range(1, 33):
         inst.S(n), inst.S_plus(n), inst.S_box(n)
-    assert walked == [8, 16, 24]
+    assert walked == [8, 16, 24, 32]
     with pytest.raises(CapacityError):
-        inst.S_box(25)
+        inst.S_box(33)
 
 
 def test_instance_fields_are_read_only(graphs_instance):
