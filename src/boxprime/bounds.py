@@ -92,7 +92,10 @@ def cut_bound(inst: SemiringInstance, n: int, depth: int = 3) -> dict:
     middle = S_plus(n) - S_box(n) - sum_{r=2}^{depth-1} S_box(r) S_plus(n/r)
     is checked against 0 <= middle <= S(n//depth + depth) - S_plus(same).
     Holds only for large enough n, so rows report rather than promise.
+    Degrees below 2, where the unit would count as a composite, are refused.
     """
+    if n < 2:
+        raise DomainError("degree must be at least 2")
     if depth <= 2:
         raise DomainError("cut depth must exceed 2")
     main = sum(inst.S_box(r) * inst.S_plus(Fraction(n, r))
@@ -126,8 +129,11 @@ def leading_term_check(inst: SemiringInstance, n: int) -> dict:
 
     gap = S_plus(p n) - S_box(p n); leading = S_box(p) S_plus(n); residual
     is their signed difference, zero exactly when every composite of degree
-    p*n has a degree-p prime factor.
+    p*n has a degree-p prime factor.  Degrees below 2 are refused: at 1 the
+    cofactor is the unit, and the degree-p primes would count as composites.
     """
+    if n < 2:
+        raise DomainError("degree must be at least 2")
     p = inst.p
     pn = p * n
     gap = inst.S_plus(pn) - inst.S_box(pn)

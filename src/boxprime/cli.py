@@ -87,7 +87,8 @@ def _after_dry_run(report, inst, *args):
     """report(inst, *args), after a dry run of it on DryRun(inst), which
     counts and enumerates nothing: a degree past a horizon, or a bad one,
     is refused where the real run would refuse it, before any work.  The
-    degrees the report reads must not depend on the counts."""
+    degrees the report reads may depend on the horizons and on p, which
+    the dry run keeps, but not on the counts."""
     report(DryRun(inst), *args)
     return report(inst, *args)
 
@@ -189,30 +190,24 @@ def _growth_rows(inst, ns, depth):
 
 _SANDWICH = ("n", "lower", "middle", "upper", "holds", "middle_plain")
 
-# check name -> rows over a degree range (given the cut depth), their
-# columns, and whether a dry run may refuse the range first: leading reads
-# degree p n, and the least prime degree p is a count; --check offers the
-# names in this order
+# check name -> rows over a degree range (given the cut depth) and their
+# columns; --check offers the names in this order
 BOUNDS_CHECKS = {
-    "eq1": (_each(additive_gap_sandwich), _SANDWICH, True),
-    "eq2": (_each(multiplicative_gap_sandwich), _SANDWICH, True),
+    "eq1": (_each(additive_gap_sandwich), _SANDWICH),
+    "eq2": (_each(multiplicative_gap_sandwich), _SANDWICH),
     "lem2": (lambda inst, ns, depth: [cut_bound(inst, n, depth) for n in ns],
-             ("n", "depth", "middle", "upper", "holds"), True),
-    "gap": (_each(prime_gap_bound), ("n", "lhs", "rhs", "holds"), True),
+             ("n", "depth", "middle", "upper", "holds")),
+    "gap": (_each(prime_gap_bound), ("n", "lhs", "rhs", "holds")),
     "leading": (_each(leading_term_check),
-                ("n", "pn", "gap", "leading", "residual"), False),
-    "axioms": (_growth_rows, ("n", *(name for name, _ in _RATIOS)), True),
+                ("n", "pn", "gap", "leading", "residual")),
+    "axioms": (_growth_rows, ("n", *(name for name, _ in _RATIOS))),
 }
 
 
 def cmd_bounds(args) -> int:
     inst = build_instance(args.instance, enum_cap=args.enum_cap)
-    rows_over, columns, dry_run = BOUNDS_CHECKS[args.check]
-    ns = parse_degree_range(args.n)
-    if dry_run:
-        rows = _after_dry_run(rows_over, inst, ns, args.D)
-    else:
-        rows = rows_over(inst, ns, args.D)
+    rows_over, columns = BOUNDS_CHECKS[args.check]
+    rows = _after_dry_run(rows_over, inst, parse_degree_range(args.n), args.D)
     emit(rows, columns, args)
     return 0
 
@@ -352,8 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "enum_cap", 0) > ENUM_CAP_CEILING:
-            raise CapacityError(f"--enum-cap {args.enum_cap} exceeds the "
+        enum_cap = getattr(args, "enum_cap", 0)
+        if enum_cap < 0:
+            raise DomainError(f"--enum-cap {enum_cap} is negative")
+        if enum_cap > ENUM_CAP_CEILING:
+            raise CapacityError(f"--enum-cap {enum_cap} exceeds the "
                                 f"ceiling {ENUM_CAP_CEILING}")
         return args.func(args)
     except BoxprimeError as exc:

@@ -1,11 +1,11 @@
 """Graph families as semirings: count sequences, membership, and diagnostics.
 
-A family instance is data, in the manner of an arithmetical semigroup: three
-exact count sequences by degree (all members, connected members,
-multiplicative primes), a membership rule and an instance-prime rule, and the
-horizons up to which every value is exactly computable.  Three instances are
-provided: all graphs, graphs with an even number of edges, and the family
-generated by complete graphs under disjoint union and cartesian product.
+A family instance is data, in the manner of an arithmetical semigroup: its
+census by degree (members, connected members, primes), its least prime
+degree, membership and instance-prime rules, and the horizons up to which
+every value is exactly computable.  Three instances are provided: all
+graphs, graphs with an even number of edges, and the family generated by
+complete graphs under disjoint union and cartesian product.
 """
 
 from __future__ import annotations
@@ -30,16 +30,17 @@ HAMMING_HORIZON = 64
 
 class SemiringInstance(namedtuple(
         "SemiringInstance",
-        "name add_horizon enum_horizon count_all count_connected "
-        "count_primes member_rule prime_rule unique_factorization",
+        "name add_horizon enum_horizon p census member_rule prime_rule "
+        "unique_factorization",
         defaults=(False,))):
     """One graph family with exact count sequences and membership.
 
-    The fields are name, add_horizon and enum_horizon; count_all,
-    count_connected and count_primes, each mapping a degree k >= 1 (>= 2 for
-    primes) within the horizon to a count; member_rule and prime_rule,
-    deciding membership of a nonempty graph and primality of a connected
-    member of order >= 2; and unique_factorization, False by default.
+    The fields are name, add_horizon and enum_horizon; p, the least degree
+    with a prime; census, mapping a degree k >= 1 within the horizon to the
+    members, connected members and primes (read for k >= 2) of degree k;
+    member_rule and prime_rule, deciding membership of a nonempty graph and
+    primality of a connected member of order >= 2; and
+    unique_factorization, False by default.
 
     Sequence accessors follow a shared convention: non-integer degrees give
     0 (so vacuous terms in inequality sums vanish), negative degrees are
@@ -54,14 +55,6 @@ class SemiringInstance(namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def p(self) -> int:
-        """The least degree with a prime."""
-        for n in range(2, self.add_horizon + 1):
-            if self.count_primes(n) > 0:
-                return n
-        raise DomainError(f"{self.name}: no prime degree within horizon")
 
     def _degree(self, x):
         k = _as_integer(x)
@@ -79,21 +72,21 @@ class SemiringInstance(namedtuple(
         k = self._degree(x)
         if k is None:
             return 0
-        return 1 if k == 0 else self.count_all(k)
+        return 1 if k == 0 else self.census(k)[0]
 
     def S_plus(self, x) -> int:
         """Connected members of degree x; 0 at non-integer x."""
         k = self._degree(x)
         if k is None or k == 0:
             return 0
-        return self.count_connected(k)
+        return self.census(k)[1]
 
     def S_box(self, x) -> int:
         """Multiplicative primes of degree x; 0 at non-integer x."""
         k = self._degree(x)
         if k is None or k <= 1:
             return 0
-        return self.count_primes(k)
+        return self.census(k)[2]
 
     def is_member(self, g: Graph) -> bool:
         if g.n == 0:
@@ -138,15 +131,14 @@ class SemiringInstance(namedtuple(
 
 class DryRun(SemiringInstance):
     """An instance with every count 1 and no members, that counts and
-    enumerates nothing: a report run on DryRun(inst) meets every refusal of
-    a degree the run on inst would meet, and meets it first."""
+    enumerates nothing: it keeps the family's horizons and p, so a report
+    run on DryRun(inst) meets every refusal of a degree the run on inst
+    would meet, and meets it first."""
 
     __slots__ = ()
 
     def __new__(cls, inst: SemiringInstance):
-        one = lambda n: 1
-        return cls._make(inst._replace(count_all=one, count_connected=one,
-                                       count_primes=one))
+        return cls._make(inst._replace(census=lambda n: (1, 1, 1)))
 
     def members(self, n: int) -> tuple[Graph, ...]:
         self.check_members(n)
@@ -170,8 +162,11 @@ def _window(n: int) -> int:
 
 
 @cache
-def _graph_primes(top: int) -> CountSequence:
-    return prime_counts_by_factorization(graph_connected_totals(top), top)
+def _graph_census(top: int) -> tuple[CountSequence, ...]:
+    """Totals, connected counts and prime counts of all graphs to top."""
+    connected = graph_connected_totals(top)
+    return (graph_totals(top), connected,
+            prime_counts_by_factorization(connected, top))
 
 
 def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
@@ -186,9 +181,8 @@ def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
         name="graphs",
         add_horizon=POLYA_CAP,
         enum_horizon=enum_cap,
-        count_all=lambda n: graph_totals(_window(n)).at(n),
-        count_connected=lambda n: graph_connected_totals(_window(n)).at(n),
-        count_primes=lambda n: _graph_primes(_window(n)).at(n),
+        p=2,
+        census=lambda n: tuple(s.at(n) for s in _graph_census(_window(n))),
         member_rule=lambda g: True,
         prime_rule=is_cartesian_prime,
         unique_factorization=True,
@@ -260,9 +254,8 @@ def instance_even_edge(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
         name="even",
         add_horizon=horizon,
         enum_horizon=horizon,
-        count_all=lambda n: _even_census(n)[0],
-        count_connected=lambda n: _even_census(n)[1],
-        count_primes=lambda n: _even_census(n)[2],
+        p=3,
+        census=_even_census,
         member_rule=_even_member,
         prime_rule=_is_even_prime,
     )
@@ -281,13 +274,13 @@ def instance_hamming(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     connected = multiplicative_transform(
         CountSequence.primes([0] + [1] * (HAMMING_HORIZON - 1)),
         HAMMING_HORIZON)
+    totals = euler_transform(connected, HAMMING_HORIZON)
     return SemiringInstance(
         name="hamming",
         add_horizon=HAMMING_HORIZON,
         enum_horizon=enum_cap,
-        count_all=euler_transform(connected, HAMMING_HORIZON).at,
-        count_connected=connected.at,
-        count_primes=lambda n: 1,
+        p=2,
+        census=lambda n: (totals.at(n), connected.at(n), 1),
         member_rule=_is_hamming_member,
         prime_rule=is_complete,
         unique_factorization=True,
@@ -342,9 +335,11 @@ def closure_check(inst: SemiringInstance, n_max: int) -> dict:
 
 def self_complementary_count(n: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Graphs of order n isomorphic to their complement, by enumeration;
-    the enumerated graphs are canonical, so only complements are searched."""
+    the enumerated graphs are canonical, so only complements are searched,
+    and only those with half of the C(n, 2) possible edges."""
     return sum(1 for g in enumerate_graphs(n, cap)
-               if canonical_key(complement(g)) == (g.n, g.bits))
+               if 2 * g.edge_count == comb(n, 2)
+               and canonical_key(complement(g)) == (g.n, g.bits))
 
 
 def self_complementary_identity(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:

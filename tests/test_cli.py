@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from boxprime import cli, counting, graph6, graphs, semiring
+from boxprime.errors import BoxprimeError
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
                              complete_graph, cycle_graph, disjoint_union,
@@ -282,6 +283,21 @@ def test_bounds_refuse_degree_zero(check, degrees, capsys):
     assert capsys.readouterr() == ("", "domain: degree must be positive\n")
 
 
+@pytest.mark.parametrize("check", ["lem2", "leading"])
+@pytest.mark.parametrize("degrees", ["0", "1", "1..3", "0..40"])
+def test_bounds_refuse_degrees_below_two_before_any_count(check, degrees,
+                                                         monkeypatch, capsys):
+    # at degree 1 the cofactor is the unit, which no composite count holds
+    def forbidden(n):
+        raise AssertionError("a count was read")
+
+    build = cli.build_instance
+    monkeypatch.setattr(cli, "build_instance", lambda *args, **kwargs:
+                        build(*args, **kwargs)._replace(census=forbidden))
+    assert cli.main(["bounds", "--check", check, "--n", degrees]) == 3
+    assert capsys.readouterr() == ("", "domain: degree must be at least 2\n")
+
+
 @pytest.mark.parametrize("mode, one", [
     ([], "n,S,S_plus,S_box,p\n1,1,1,0,2\n"),
     (["--monotonicity"], "n,S_plus,S_plus_next\n"),
@@ -388,6 +404,11 @@ def test_enum_cap_ceiling_is_checked_before_any_instance(monkeypatch, capsys):
     limit = cli.ENUM_CAP_CEILING
     assert cli.main(["census", "--n", "2", "--enum-cap", str(limit + 1)]) == 2
     assert capsys.readouterr().err.startswith("capacity: --enum-cap")
+    for cap, argv in (("-1", ["census", "--n", "2"]),
+                      ("-5", ["census", "--instance", "even", "--n", "1"])):
+        assert cli.main([*argv, "--enum-cap", cap]) == 3
+        assert capsys.readouterr() == (
+            "", f"domain: --enum-cap {cap} is negative\n")
     # factor enumerates nothing, so it takes no --enum-cap at all
     with pytest.raises(SystemExit) as exc:
         cli.main(["factor", "A_", "--enum-cap", str(limit + 1)])
@@ -441,13 +462,20 @@ def test_semiring_enumeration_limits_are_checked_first(monkeypatch, capsys,
 def _refusal_cases():
     """Every report that reads an instance, on degrees 2 to one past the
     horizon of its path, with the refusal that names that degree."""
-    # instance -> the horizon of its counts; every enumeration stops at 8
-    for name, top in (("graphs", 32), ("even", 8), ("hamming", 64)):
+    # instance -> the horizon of its counts and its least prime degree;
+    # every enumeration stops at 8
+    for name, top, p in (("graphs", 32, 2), ("even", 8, 3),
+                         ("hamming", 64, 2)):
         past = f"{name}: degree {top + 1} beyond horizon {top}"
         reports = [["census"]] + [["bounds", "--check", check] for check in
                                   ("eq1", "eq2", "lem2", "gap", "axioms")]
         for argv in reports:
             yield [*argv, "--instance", name, "--n", f"2..{top + 1}"], past
+        # leading reads degree p n: the first n past the horizon names p n
+        hi = top // p + 1
+        yield (["bounds", "--check", "leading", "--instance", name,
+                "--n", f"2..{hi}"],
+               f"{name}: degree {p * hi} beyond horizon {top}")
         for fn in ("d", "phistar"):
             for population in ("add", "mult"):
                 argv = ["functions", "--fn", fn, "--population", population,
@@ -489,9 +517,9 @@ def _refusal_cases():
      "even: degree 9 beyond horizon 8"),
     (["bounds", "--check", "axioms", "--instance", "even", "--n", "1..9"],
      "even: degree 9 beyond horizon 8"),
-    (["bounds", "--check", "lem2", "--instance", "even", "--n", "1..20"],
+    (["bounds", "--check", "lem2", "--instance", "even", "--n", "2..20"],
      "even: degree 9 beyond horizon 8"),
-    (["bounds", "--check", "lem2", "--instance", "even", "--n", "1",
+    (["bounds", "--check", "lem2", "--instance", "even", "--n", "2",
       "--D", "10"], "even: degree 9 beyond horizon 8"),
     # the first degree the rows would read past the horizon is named
     (["bounds", "--check", "eq1", "--instance", "even", "--n", "12"],
@@ -501,14 +529,68 @@ def _refusal_cases():
 ])
 def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
                                                          argv, err):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cycle-index walk started")
+
     walked = []
     monkeypatch.setattr(graphs, "_enumerate", walked.append)
+    # empty count windows, so that no earlier test has walked for them
+    monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
+    for cached in (counting.graph_totals, counting.graph_connected_totals,
+                   semiring._graph_census):
+        cached.cache_clear()
     # a fresh even census cache, so that no earlier test has walked for it
     monkeypatch.setattr(semiring, "_even_census",
                         functools.cache(semiring._even_census.__wrapped__))
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"capacity: {err}\n")
     assert walked == []
+
+
+def _dry_run_reports():
+    """Every report the CLI runs after a dry run, as run(inst, hi) over the
+    degrees up to hi."""
+    yield "census", lambda inst, hi: cli._census_rows(inst, range(2, hi + 1))
+    for check, (rows_over, _) in cli.BOUNDS_CHECKS.items():
+        yield check, lambda inst, hi, rows_over=rows_over: rows_over(
+            inst, range(2, hi + 1), 3)
+    for fn, population in (("d", "add"), ("d", "mult"), ("sigmastar", "mult"),
+                           ("phistar", "mult")):
+        yield f"{fn} {population}", lambda inst, hi, fn=fn, pop=population: \
+            cli._function_rows(inst, range(2, hi + 1), fn, pop)
+    yield "summary", cli._summary_rows
+    yield "monotonicity", semiring.monotonicity_report
+
+
+def _outcome(run, inst, hi):
+    try:
+        run(inst, hi)
+    except BoxprimeError as exc:
+        return type(exc), str(exc)
+    return "answered"
+
+
+@functools.cache
+def _dry_run_instance(name, cap):
+    return semiring.build_instance(name, enum_cap=cap)
+
+
+@pytest.mark.parametrize("name, cap", [("graphs", 8), ("even", 8),
+                                       ("even", 2), ("hamming", 8)],
+                         ids=["graphs", "even", "even-cap-2", "hamming"])
+@pytest.mark.parametrize("report", list(_dry_run_reports()),
+                         ids=[label for label, _ in _dry_run_reports()])
+def test_dry_run_meets_the_outcome_of_the_real_run(report, name, cap):
+    # the dry run reads the degrees the real run reads, so it succeeds or
+    # fails as the real run does, with the same error
+    _, run = report
+    inst = _dry_run_instance(name, cap)
+    top = inst.add_horizon
+    # the CLI never passes an empty degree range
+    for hi in sorted({max(2, h) for h in (top // 3, top // 2, top - 2,
+                                          top + 2)}):
+        assert _outcome(run, semiring.DryRun(inst), hi) == \
+            _outcome(run, inst, hi), hi
 
 
 @pytest.mark.parametrize("argv", [

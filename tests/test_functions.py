@@ -174,8 +174,7 @@ def test_coprime_count_refuses_a_family_with_member_composites():
     # exists, and without unique factorization nothing counts its factors
     inst = semiring.SemiringInstance(
         name="toy", add_horizon=8, enum_horizon=8,
-        count_all=lambda n: 3, count_connected=lambda n: 2,
-        count_primes=lambda n: 1, member_rule=lambda g: True,
+        p=2, census=lambda n: (3, 2, 1), member_rule=lambda g: True,
         prime_rule=lambda g: True)
     with pytest.raises(CapacityError):
         coprime_count(K3, inst)

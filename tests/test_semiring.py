@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -250,7 +251,7 @@ def _record_cycle_index_walks(monkeypatch) -> list:
 
     monkeypatch.setattr(counting, "_cycle_index_sums", recorded)
     for cached in (counting.graph_totals, counting.graph_connected_totals,
-                   semiring._graph_primes):
+                   semiring._graph_census):
         cached.cache_clear()
     return walked
 
@@ -317,6 +318,29 @@ def test_build_instance_matches_the_builder(name, cap):
         assert (built.S(n), built.S_plus(n), built.S_box(n)) == \
             (direct.S(n), direct.S_plus(n), direct.S_box(n)), (name, n)
     assert built.p == direct.p
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_BUILDERS))
+def test_p_is_the_least_prime_degree(name):
+    inst = build_instance(name)
+    assert [inst.S_box(k) for k in range(2, inst.p)] == [0] * (inst.p - 2)
+    assert inst.S_box(inst.p) > 0
+
+
+def test_self_complementary_count_searches_only_half_the_edges(monkeypatch):
+    # a complement has the edges its graph lacks, so only a graph with half
+    # of the C(n, 2) possible edges can match it, and none when that is odd
+    searched = []
+    key = semiring.canonical_key
+
+    def recorded(g):
+        searched.append((g.n, g.edge_count))
+        return key(g)
+
+    monkeypatch.setattr(semiring, "canonical_key", recorded)
+    counts = tuple(self_complementary_count(n) for n in range(1, 9))
+    assert counts == SELF_COMPLEMENTARY
+    assert searched and all(2 * e == comb(n, 2) for n, e in searched)
 
 
 def test_self_complementary_counts():
