@@ -30,7 +30,7 @@ from .counting import graph_connected_totals, graph_totals, inversion_coefficien
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
 from .factor import _is_prime_number, check_order, factor_keys
-from .graph6 import encode_graph6, graph6_order, parse_graph6
+from .graph6 import _decode_rows, encode_graph6, split_graph6
 from .graphs import (DEFAULT_ENUM_CAP, Graph, check_canonical_order,
                      check_enumeration)
 from .functions import REGISTRY, population_stats
@@ -120,17 +120,18 @@ def _factor_text(n: int, bits: int) -> str:
     return encode_graph6(Graph(n, bits))
 
 
+@lru_cache(maxsize=1 << 12)
 def _factor_line(text: str) -> str:
     # the header alone gives the order, so an oversized body is never decoded
-    n = graph6_order(text)
+    n, body = split_graph6(text)
     check_order(n)
     if _is_prime_number(n):
         # a graph of prime order is its own one factor
         check_canonical_order(n)
-    g = parse_graph6(text)
+    rows = _decode_rows(body, n)
     if n == 1:
         return f"{text}: UNIT"
-    keys = factor_keys(g)
+    keys = factor_keys(rows)
     # the keys are sorted, and a Counter keeps first-seen order
     parts = [f"{_factor_text(*key)} x {times}" for key, times in Counter(keys).items()]
     line = f"{text}: " + ", ".join(parts)
@@ -141,7 +142,7 @@ def _factor_line(text: str) -> str:
 
 def cmd_factor(args) -> int:
     if args.graphs:
-        inputs = ((f"argument {i}", text)
+        inputs = ((f"argument {i}", text.strip())
                   for i, text in enumerate(args.graphs, 1))
     else:
         inputs = ((f"line {i}", line.strip())

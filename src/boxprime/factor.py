@@ -20,8 +20,8 @@ from math import isqrt
 from operator import and_
 
 from .errors import CapacityError, DomainError
-from .graphs import (Graph, _canonical_bits, _graph_from_rows, _induced_rows,
-                     _layers, check_canonical_order, is_connected)
+from .graphs import (Graph, _canonical_bits_for, _graph_from_rows,
+                     _induced_rows, _layers, check_canonical_order)
 
 # largest order factorized; the 8-cube has 256 vertices
 ORDER_LIMIT = 256
@@ -38,8 +38,11 @@ def _bits_of(mask: int):
         yield low.bit_length() - 1
 
 
-def _cut(vertices: int, incidence) -> int:
-    """Edge mask of the edges with exactly one end among the vertices."""
+def _cut(vertices: int, incidence, full: int) -> int:
+    """Edge mask of the edges with exactly one end among the vertices,
+    read from the smaller of the vertex set and its complement."""
+    if 2 * vertices.bit_count() > full.bit_length():
+        vertices ^= full
     edges = 0
     while vertices:
         low = vertices & -vertices
@@ -60,19 +63,23 @@ def _merge(classes: list[int], edges: int) -> list[int]:
     return kept
 
 
-def _layer_masks(g: Graph) -> list[int]:
+def _layer_masks(n: int, rows) -> list[int]:
     """Vertex masks of the layers through vertex 0, one per prime factor,
     ordered by the smallest neighbour of vertex 0 that each contains.
 
-    A single mask (all vertices) means g is prime, and none that g is the
-    unit.  g must be connected with at most ORDER_LIMIT vertices.
+    A single mask (all vertices) means the graph with these neighbour rows
+    is prime, and none that it is the unit.  Orders above ORDER_LIMIT must
+    be refused first; the empty and disconnected graphs are refused here.
     """
-    n = g.n
+    if n == 0:
+        raise DomainError("connectivity is undefined for the empty graph")
     full = (1 << n) - 1
+    first = _layers(rows, 0)
+    if sum(first) != full:
+        raise DomainError("factorization is defined for connected graphs only")
     if _is_prime_number(n):
         # the order of a product is the product of the factor orders
         return [full]
-    rows = g.rows
     # edges numbered from their lower ends up, so vertex 0's come first
     incidence = [0] * n
     ends = []
@@ -81,42 +88,51 @@ def _layer_masks(g: Graph) -> list[int]:
             incidence[u] |= 1 << len(ends)
             incidence[v] |= 1 << len(ends)
             ends.append(1 << u | 1 << v)
+    every_edge = (1 << len(ends)) - 1
 
     # Theta from the edges of the breadth-first tree at vertex 0 only, each
     # vertex at distance k + 1 hung on its smallest neighbour at distance k.
     # xy Theta uv iff d(u,x) - d(v,x) != d(u,y) - d(v,y): uv joins the edges
     # with one end nearer u or one end nearer v.  An edge is in Theta with
-    # some edge of every path between its ends, so the classes cover them all
-    layers = [_layers(rows, u) for u in range(n)]
+    # some edge of every path between its ends, so the classes cover them
+    # all.  A vertex's walk runs when the tree reaches it, after its
+    # parent's, so a prime graph shown early skips the remaining walks
+    layers = [first] + [None] * (n - 1)
     classes = []
-    for above, level in zip(layers[0], layers[0][1:]):
+    for above, level in zip(first, first[1:]):
         for v in _bits_of(level):
             up = rows[v] & above
-            u = (up & -up).bit_length() - 1
-            lu, lv = layers[u], layers[v]
+            lu = layers[(up & -up).bit_length() - 1]
+            lv = layers[v] = _layers(rows, v)
             near_u = sum(map(and_, lu, lv[1:]))
             near_v = sum(map(and_, lv, lu[1:]))
-            classes = _merge(classes, _cut(near_u, incidence) | _cut(near_v, incidence))
-            if classes[-1] == (1 << len(ends)) - 1:
+            edges = _cut(near_u, incidence, full)
+            if near_u | near_v != full:
+                # some vertex is as near u as v: its edges cut either side
+                edges |= _cut(near_v, incidence, full)
+            classes = _merge(classes, edges)
+            if classes[-1] == every_edge:
                 return [full]
 
     # tau: edges xu, xv with u ~ v, or with no w ~ u, v outside N[x]
     for x in range(n):
-        closed = rows[x] | (1 << x)
         later = rows[x]
+        outside = full ^ later ^ (1 << x)
         while later:
             low = later & -later
             later ^= low
             ru = rows[low.bit_length() - 1]
             linked = later & ru
             apart = later ^ linked
+            ru &= outside
             while apart:
                 bit = apart & -apart
                 apart ^= bit
-                if not ru & rows[bit.bit_length() - 1] & ~closed:
+                if not ru & rows[bit.bit_length() - 1]:
                     linked |= bit
             if linked:
-                classes = _merge(classes, incidence[x] & _cut(linked | low, incidence))
+                classes = _merge(classes,
+                                 incidence[x] & _cut(linked | low, incidence, full))
                 if len(classes) == 1:
                     return [full]
 
@@ -130,7 +146,7 @@ def _layer_masks(g: Graph) -> list[int]:
         while leaving:
             for e in _bits_of(leaving):
                 layer |= ends[e]
-            leaving = c & _cut(layer, incidence)
+            leaving = c & _cut(layer, incidence, full)
         masks.append(layer)
     return masks
 
@@ -142,16 +158,19 @@ def check_order(n: int) -> None:
             f"factorization of order {n} exceeds the limit {ORDER_LIMIT}")
 
 
-def _factor_rows(g: Graph) -> list[tuple[int, ...]]:
-    """Neighbour rows of g's layers through vertex 0, one per prime factor,
-    in _layer_masks order; the order limit is checked before any work."""
+def _checked_rows(g: Graph) -> tuple[int, ...]:
+    """g's neighbour rows, read only once its order is within ORDER_LIMIT."""
     check_order(g.n)
-    if not is_connected(g):
-        raise DomainError("factorization is defined for connected graphs only")
-    masks = _layer_masks(g)
+    return g.rows
+
+
+def _factor_rows(rows) -> list[tuple[int, ...]]:
+    """Neighbour rows of the layers through vertex 0, one per prime factor,
+    in _layer_masks order."""
+    masks = _layer_masks(len(rows), rows)
     if len(masks) == 1:
-        return [g.rows]
-    return [_induced_rows(g.rows, m) for m in masks]
+        return [rows]
+    return [_induced_rows(rows, m) for m in masks]
 
 
 @lru_cache(maxsize=1 << 16)
@@ -164,7 +183,8 @@ def factor_layers(g: Graph) -> tuple[Graph, ...]:
     vertex 0 that each contains.  Orders above ORDER_LIMIT are refused
     before any work.  Results are memoized per labelled graph.
     """
-    return tuple(_graph_from_rows(len(rows), rows) for rows in _factor_rows(g))
+    return tuple(_graph_from_rows(len(rows), rows)
+                 for rows in _factor_rows(_checked_rows(g)))
 
 
 def is_cartesian_prime(g: Graph) -> bool:
@@ -178,14 +198,15 @@ def is_cartesian_prime(g: Graph) -> bool:
     return len(factor_layers(g)) == 1
 
 
-def factor_keys(g: Graph) -> list[tuple[int, int]]:
-    """Sorted (order, canonical bits) of the prime factors of a connected
-    graph, with repeats; every order is checked against the canonical cap first."""
-    layers = _factor_rows(g)
-    for rows in layers:
-        check_canonical_order(len(rows))
-    return sorted((len(rows), _canonical_bits(len(rows), rows))
-                  for rows in layers)
+def factor_keys(rows) -> list[tuple[int, int]]:
+    """Sorted (order, canonical bits) of the prime factors of the connected
+    graph with these neighbour rows, with repeats; its order must be within
+    ORDER_LIMIT, and every factor order is checked against the canonical cap
+    first."""
+    layers = _factor_rows(rows)
+    for layer in layers:
+        check_canonical_order(len(layer))
+    return sorted((len(layer), _canonical_bits_for(layer)) for layer in layers)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -193,8 +214,8 @@ def factorize(g: Graph) -> tuple[Graph, ...]:
     """Prime factors of a connected graph, canonical and sorted, with repeats.
 
     The unit gives an empty tuple; a prime gives its canonical form.
-    Canonical graphs order by their canonical keys.  Results are memoized
-    per labelled graph.
+    Canonical graphs order by their canonical keys.  Orders above
+    ORDER_LIMIT are refused before any work.  Results are memoized per
+    labelled graph.
     """
-    return tuple(Graph(n, bits) for n, bits in factor_keys(g))
-
+    return tuple(Graph(n, bits) for n, bits in factor_keys(_checked_rows(g)))

@@ -9,8 +9,7 @@ n <= 62, or '~' followed by three characters for n up to 258047.
 from __future__ import annotations
 
 from .errors import CapacityError, ParseError
-from .graphs import (Graph, _column_major_ranks, _graph_from_rows, _pair_count,
-                     _row_major_indices, _rows_from_text)
+from .graphs import Graph, _column_major_ranks, _graph_from_rows, _pair_count
 
 GRAPH6_MAX_ORDER = 258047
 _PREFIX = ">>graph6<<"
@@ -66,13 +65,16 @@ def _strip(text: str) -> str:
     return text.strip()
 
 
-def graph6_order(text: str) -> int:
-    """Order of a graph6 string, read from its header alone."""
-    return _read_order(_strip(text))[0]
+def split_graph6(text: str) -> tuple[int, str]:
+    """Order of a graph6 string, read from its header alone, and its body;
+    the standard '>>graph6<<' prefix is allowed."""
+    text = _strip(text)
+    n, start = _read_order(text)
+    return n, text[start:]
 
 
-def _decode_body(body: str, n: int) -> Graph:
-    """Graph of order n from its graph6 body, with its neighbour rows."""
+def _decode_rows(body: str, n: int) -> tuple[int, ...]:
+    """Neighbour rows of the order-n graph with this graph6 body."""
     m = _pair_count(n)
     groups = -(-m // 6)
     if len(body) != groups:
@@ -84,13 +86,25 @@ def _decode_body(body: str, n: int) -> Graph:
         raise ParseError(f"invalid graph6 body byte {ord(bad)}")
     if "1" in bits[m:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    row_major = "".join(map(bits.__getitem__, _row_major_indices(n)))
-    return _graph_from_rows(n, _rows_from_text(n, row_major, bits),
-                            int(row_major or "0", 2))
+    # column j is bits[s:s + j] for s = C(j, 2), lowest row first, so the
+    # reversed string holds it as one slice, ready to read as row j's lower
+    # part; each of its set bits is then copied into the other end's row
+    backwards = bits[:m][::-1]
+    rows = [0] * n
+    end = m
+    for j in range(1, n):
+        low = int(backwards[end - j:end], 2)
+        end -= j
+        rows[j] = low
+        bit = 1 << j
+        while low:
+            one = low & -low
+            low ^= one
+            rows[one.bit_length() - 1] |= bit
+    return tuple(rows)
 
 
 def parse_graph6(text: str) -> Graph:
     """Graph from a graph6 string; the standard '>>graph6<<' prefix is allowed."""
-    text = _strip(text)
-    n, start = _read_order(text)
-    return _decode_body(text[start:], n)
+    n, body = split_graph6(text)
+    return _graph_from_rows(n, _decode_rows(body, n))

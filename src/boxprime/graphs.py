@@ -86,13 +86,6 @@ def _column_major_ranks(n: int) -> tuple[int, ...]:
     return tuple(i * (2 * n - i - 3) // 2 + j - 1 for j in range(1, n) for i in range(j))
 
 
-@lru_cache(maxsize=32)
-def _row_major_indices(n: int) -> tuple[int, ...]:
-    """Column-major index of each pair of an order-n graph, in row-major
-    order: the inverse of _column_major_ranks."""
-    return tuple(j * (j - 1) // 2 + i for i in range(n) for j in range(i + 1, n))
-
-
 def _rows_from_text(n: int, row_major: str, column_major: str) -> tuple[int, ...]:
     """Neighbor rows from the edge bit string in row-major and column-major
     order: row i is column i below the diagonal, and row i's run above it."""
@@ -115,10 +108,10 @@ def _pack_rows(n: int, rows) -> int:
                        for i in range(n - 1)), 2)
 
 
-def _graph_from_rows(n: int, rows: tuple[int, ...], bits: int | None = None) -> Graph:
-    """Graph with the given neighbor rows (and packed vector, if known),
-    which it keeps instead of decoding them again from the packed vector."""
-    g = Graph(n, _pack_rows(n, rows) if bits is None else bits)
+def _graph_from_rows(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph with the given neighbor rows, which it keeps instead of
+    decoding them again from the packed vector."""
+    g = Graph(n, _pack_rows(n, rows))
     g.__dict__["rows"] = rows
     return g
 
@@ -331,9 +324,9 @@ def _canonical_bits(n: int, rows) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _canonical_bits_for(g: Graph) -> int:
-    # keyed on (n, bits); a graph that already holds its rows is not decoded
-    return _canonical_bits(g.n, g.rows)
+def _canonical_bits_for(rows: tuple[int, ...]) -> int:
+    # keyed on the neighbour rows, which factor layers have without a Graph
+    return _canonical_bits(len(rows), rows)
 
 
 def check_canonical_order(n: int) -> None:
@@ -348,7 +341,7 @@ def canonical_form(g: Graph) -> Graph:
     check_canonical_order(g.n)
     if g.n <= 1:
         return g
-    return Graph(g.n, _canonical_bits_for(g))
+    return Graph(g.n, _canonical_bits_for(g.rows))
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

@@ -10,13 +10,15 @@ from collections import Counter
 
 import pytest
 
-from boxprime import cli, counting, graph6, graphs, semiring
-from boxprime.errors import BoxprimeError
+from boxprime import cli, counting, graphs, semiring
+from boxprime.errors import BoxprimeError, ParseError
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
                              complete_graph, cycle_graph, disjoint_union,
                              empty_graph, from_edges, path_graph, relabel)
-from _oracles import factorize_by_table
+from _oracles import decode_graph6_body_by_columns, factorize_by_table
+
+K2, K3 = complete_graph(2), complete_graph(3)
 
 CENSUS_2_8 = (
     "n,S,S_plus,S_box\n"
@@ -626,8 +628,7 @@ def test_factor_order_limit_is_read_from_the_header(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("the graph6 body was decoded")
 
-    monkeypatch.setattr(graph6, "_decode_body", forbidden)
-    monkeypatch.setattr(cli, "parse_graph6", forbidden)
+    monkeypatch.setattr(cli, "_decode_rows", forbidden)
     # an edgeless order-3000 graph: a long-form header, then C(3000, 2)
     # zero bits in 749750 six-bit characters
     text = "~?mw" + "?" * 749750
@@ -643,8 +644,7 @@ def test_factor_prime_order_above_the_canonical_cap_is_refused_from_the_header(
     def forbidden(*args, **kwargs):
         raise AssertionError("the graph6 body was decoded")
 
-    monkeypatch.setattr(graph6, "_decode_body", forbidden)
-    monkeypatch.setattr(cli, "parse_graph6", forbidden)
+    monkeypatch.setattr(cli, "_decode_rows", forbidden)
     # the 29-cycle, a truncated order-29 line, and an edgeless order-251
     # line: a graph of prime order is one factor of that order
     lines = [encode_graph6(cycle_graph(29)), chr(29 + 63),
@@ -657,6 +657,89 @@ def test_factor_prime_order_above_the_canonical_cap_is_refused_from_the_header(
         "capacity: line 1: canonical form of order 29 exceeds cap 24\n"
         "capacity: line 2: canonical form of order 29 exceeds cap 24\n"
         "capacity: line 3: canonical form of order 251 exceeds cap 24\n")
+
+
+def _factor_main(monkeypatch, texts, stdin: bool) -> int:
+    """Run `factor` in-process on texts, as arguments or as stdin lines."""
+    if stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(t + "\n" for t in texts)))
+        return cli.main(["factor"])
+    return cli.main(["factor", *texts])
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["arguments", "stdin"])
+def test_factor_echoes_each_input_stripped(monkeypatch, capsys, stdin):
+    texts = [" A_", "C]\t", " >>graph6<<Bw "]
+    assert _factor_main(monkeypatch, texts, stdin) == 0
+    assert capsys.readouterr() == (
+        "A_: A_ x 1 PRIME\nC]: A_ x 2\n>>graph6<<Bw: Bw x 1 PRIME\n", "")
+
+
+@pytest.mark.parametrize("stdin", [False, True], ids=["arguments", "stdin"])
+@pytest.mark.parametrize("graph, message", [
+    (empty_graph(0),
+     "domain: {}: connectivity is undefined for the empty graph"),
+    (disjoint_union(K2, K3),
+     "domain: {}: factorization is defined for connected graphs only"),
+    (disjoint_union(K2, K2),
+     "domain: {}: factorization is defined for connected graphs only"),
+    (disjoint_union(empty_graph(1), cycle_graph(5)),
+     "domain: {}: factorization is defined for connected graphs only"),
+    (empty_graph(257),
+     "capacity: {}: factorization of order 257 exceeds the limit 256"),
+    (cycle_graph(29),
+     "capacity: {}: canonical form of order 29 exceeds cap 24"),
+], ids=["order 0", "disconnected prime order", "disconnected composite order",
+        "isolated vertex 0", "order 257", "prime order 29"])
+def test_factor_refusals(monkeypatch, capsys, graph, message, stdin):
+    assert _factor_main(monkeypatch, [encode_graph6(graph)], stdin) == \
+        (2 if message.startswith("capacity") else 3)
+    where = "line 1" if stdin else "argument 1"
+    assert capsys.readouterr() == ("", message.format(where) + "\n")
+
+
+@pytest.mark.parametrize("text", ["A", "D?\x7f", "D\x80?", "Aw", "D?A"],
+                         ids=["length", "byte 127", "byte 128", "padding",
+                              "padding order 5"])
+def test_factor_malformed_bodies_match_the_column_oracle(monkeypatch, capsys,
+                                                         text):
+    with pytest.raises(ParseError) as expected:
+        decode_graph6_body_by_columns(text[1:], ord(text[0]) - 63)
+    assert _factor_main(monkeypatch, [text], True) == 4
+    assert capsys.readouterr() == ("", f"parse: line 1: {expected.value}\n")
+
+
+def test_factor_reports_a_repeated_bad_line_each_time(monkeypatch, capsys):
+    assert _factor_main(monkeypatch, ["A", "C]", "A"], True) == 4
+    error = "graph6 body for order 2 needs 1 characters, got 0"
+    assert capsys.readouterr() == (
+        "C]: A_ x 2\n", f"parse: line 1: {error}\nparse: line 3: {error}\n")
+
+
+def test_factor_answers_an_exact_repeat_from_the_line_memo(monkeypatch,
+                                                           capsys):
+    text = encode_graph6(cartesian_product(K3, K2))
+    cli._factor_line.cache_clear()
+    assert _factor_main(monkeypatch, [text, text], True) == 0
+    assert capsys.readouterr().out == f"{text}: A_ x 1, Bw x 1\n" * 2
+    info = cli._factor_line.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_factor_searches_each_distinct_layer_once(monkeypatch, capsys):
+    # the 3-cube's three K2 layers have one neighbour-row tuple
+    cube = cartesian_product(cartesian_product(K2, K2), K2)
+    graphs._canonical_bits_for.cache_clear()
+    assert _factor_main(monkeypatch, [encode_graph6(cube)], False) == 0
+    assert capsys.readouterr().out.endswith(": A_ x 3\n")
+    info = graphs._canonical_bits_for.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+def test_factor_memos_are_bounded():
+    for memo in (cli._factor_line, graphs._canonical_bits_for):
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 def _factor_stream(seed: int, lines: int = 300):
