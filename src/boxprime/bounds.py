@@ -15,19 +15,33 @@ from .errors import DomainError
 from .semiring import SemiringInstance
 
 
-def _ceil_sqrt(n: int) -> int:
-    return isqrt(n - 1) + 1 if n > 0 else 0
+def _gap_sandwich(n: int, whole, part, pairs, middle_kinds: int) -> dict:
+    """Two-sided bound on whole(n) - part(n), the degree-n elements of a
+    monoid that its part does not hold, from its ordered pairs (r, rest).
 
-
-def _pair_correction(count: int) -> tuple[int, int]:
-    """Unordered pairs from `count` kinds: with repetition, and without.
-
-    The middle terms below subtract the with-repetition value; the strict
-    binomial variant is carried in reports for comparison, since the two
-    differ exactly on the diagonal (A + A, A box A) and only the multiset
-    form verifies exhaustively.
+    lower = sum part(r) part(rest), upper = sum part(r) whole(rest), and
+    middle = whole(n) - part(n) less the unordered pairs with repetition
+    of the middle_kinds kinds of the middle degree.  The strict binomial
+    variant, middle_plain, is carried for comparison: the two differ
+    exactly on the diagonal (A + A, A box A), and only the multiset form
+    verifies exhaustively.
     """
-    return comb(count + 1, 2), comb(count, 2)
+    lower = 0
+    upper = 0
+    for r, rest in pairs:
+        here = part(r)
+        lower += here * part(rest)
+        upper += here * whole(rest)
+    gap = whole(n) - part(n)
+    middle = gap - comb(middle_kinds + 1, 2)
+    return {
+        "n": n,
+        "lower": lower,
+        "middle": middle,
+        "upper": upper,
+        "holds": lower <= middle <= upper,
+        "middle_plain": gap - comb(middle_kinds, 2),
+    }
 
 
 def additive_gap_sandwich(inst: SemiringInstance, n: int) -> dict:
@@ -39,22 +53,9 @@ def additive_gap_sandwich(inst: SemiringInstance, n: int) -> dict:
     """
     if n < 1:
         raise DomainError("degree must be positive")
-    t, t_plain = _pair_correction(inst.S_plus(Fraction(n, 2)))
-    lower = 0
-    upper = 0
-    for r in range(1, (n + 1) // 2):
-        lower += inst.S_plus(r) * inst.S_plus(n - r)
-        upper += inst.S_plus(r) * inst.S(n - r)
-    gap = inst.S(n) - inst.S_plus(n)
-    middle = gap - t
-    return {
-        "n": n,
-        "lower": lower,
-        "middle": middle,
-        "upper": upper,
-        "holds": lower <= middle <= upper,
-        "middle_plain": gap - t_plain,
-    }
+    pairs = ((r, n - r) for r in range(1, (n + 1) // 2))
+    return _gap_sandwich(n, inst.S, inst.S_plus, pairs,
+                         inst.S_plus(Fraction(n, 2)))
 
 
 def multiplicative_gap_sandwich(inst: SemiringInstance, n: int) -> dict:
@@ -67,23 +68,9 @@ def multiplicative_gap_sandwich(inst: SemiringInstance, n: int) -> dict:
     if n < 2:
         raise DomainError("degree must be at least 2")
     rt = isqrt(n)
-    t, t_plain = _pair_correction(inst.S_box(rt) if rt * rt == n else 0)
-    lower = 0
-    upper = 0
-    for r in range(2, _ceil_sqrt(n)):
-        here = inst.S_box(r)
-        lower += here * inst.S_box(Fraction(n, r))
-        upper += here * inst.S_plus(Fraction(n, r))
-    gap = inst.S_plus(n) - inst.S_box(n)
-    middle = gap - t
-    return {
-        "n": n,
-        "lower": lower,
-        "middle": middle,
-        "upper": upper,
-        "holds": lower <= middle <= upper,
-        "middle_plain": gap - t_plain,
-    }
+    pairs = ((r, Fraction(n, r)) for r in range(2, isqrt(n - 1) + 1))
+    return _gap_sandwich(n, inst.S_plus, inst.S_box, pairs,
+                         inst.S_box(rt) if rt * rt == n else 0)
 
 
 def cut_bound(inst: SemiringInstance, n: int, depth: int = 3) -> dict:

@@ -20,22 +20,13 @@ from math import isqrt
 from operator import and_
 
 from .errors import CapacityError, DomainError
-from .graphs import (Graph, _canonical_bits_for, _graph_from_rows,
-                     _induced_rows, _layers, check_canonical_order)
-
-# largest order factorized; the 8-cube has 256 vertices
-ORDER_LIMIT = 256
+from .graphs import (ORDER_LIMIT, Graph, _bits_of, _canonical_bits_for,
+                     _graph_from_rows, _induced_rows, _layers,
+                     check_canonical_order)
 
 
 def _is_prime_number(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def _bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _cut(vertices: int, incidence, full: int) -> int:
@@ -170,7 +161,7 @@ def _factor_rows(rows) -> list[tuple[int, ...]]:
     masks = _layer_masks(len(rows), rows)
     if len(masks) == 1:
         return [rows]
-    return [_induced_rows(rows, m) for m in masks]
+    return [_induced_rows(rows, _bits_of(m)) for m in masks]
 
 
 @lru_cache(maxsize=1 << 16)

@@ -16,6 +16,8 @@ from .errors import CapacityError, DomainError, read_only
 
 DEFAULT_CANON_CAP = 24
 DEFAULT_ENUM_CAP = 8
+# largest order whose edges any operation reads; the 8-cube has 256 vertices
+ORDER_LIMIT = 256
 
 
 def _pair_count(n: int) -> int:
@@ -130,8 +132,17 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, 0)
 
 
+def _all_pairs(n: int) -> int:
+    """The packed vector of every pair of order n, refused above
+    ORDER_LIMIT before it is built."""
+    if n > ORDER_LIMIT:
+        raise CapacityError(
+            f"complete edge set of order {n} exceeds the limit {ORDER_LIMIT}")
+    return (1 << _pair_count(n)) - 1
+
+
 def complete_graph(n: int) -> Graph:
-    return Graph(n, (1 << _pair_count(n)) - 1)
+    return Graph(n, _all_pairs(n))
 
 
 def path_graph(n: int) -> Graph:
@@ -145,17 +156,16 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, g.bits ^ ((1 << _pair_count(g.n)) - 1))
+    return Graph(g.n, g.bits ^ _all_pairs(g.n))
 
 
 def relabel(g: Graph, perm) -> Graph:
     """Apply the relabeling old -> perm[old]."""
     if sorted(perm) != list(range(g.n)):
         raise DomainError("relabeling must be a permutation of the vertices")
-    rows = [0] * g.n
-    for new, row in zip(perm, g.rows):
-        rows[new] = sum(1 << perm[j] for j in range(g.n) if row >> j & 1)
-    return _graph_from_rows(g.n, tuple(rows))
+    # the inverse permutation lists, for each new vertex, its old vertex
+    return _graph_from_rows(
+        g.n, _induced_rows(g.rows, sorted(range(g.n), key=perm.__getitem__)))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -218,18 +228,26 @@ def _component_masks(g: Graph) -> list[int]:
     return comps
 
 
-def _induced_rows(rows, vertex_mask: int) -> tuple[int, ...]:
-    """Rows of the subgraph on the masked vertices, relabeled in increasing
-    order."""
+def _bits_of(mask: int) -> list[int]:
+    """The set bits of mask, in increasing order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        bits.append(low.bit_length() - 1)
+    return bits
+
+
+def _induced_rows(rows, vertices) -> tuple[int, ...]:
+    """Rows of the subgraph on the given vertices, vertices[i] renamed i."""
     index = {}
-    m = vertex_mask
-    while m:
-        low = m & -m
-        m ^= low
-        index[low.bit_length() - 1] = len(index)
+    kept = 0
+    for v in vertices:
+        index[v] = len(index)
+        kept |= 1 << v
     sub = []
-    for v in index:
-        nb = rows[v] & vertex_mask
+    for v in vertices:
+        nb = rows[v] & kept
         row = 0
         while nb:
             low = nb & -nb
@@ -241,7 +259,7 @@ def _induced_rows(rows, vertex_mask: int) -> tuple[int, ...]:
 
 def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
     """Subgraph on the masked vertices, relabeled in increasing order."""
-    rows = _induced_rows(g.rows, vertex_mask)
+    rows = _induced_rows(g.rows, _bits_of(vertex_mask))
     return _graph_from_rows(len(rows), rows)
 
 

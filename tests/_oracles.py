@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, isqrt, prod
 
 from boxprime.counting import CountSequence
 from boxprime.errors import CapacityError, DomainError, ParseError
@@ -191,6 +191,47 @@ def population_stats_by_enumeration(name: str, inst, n: int,
                            - mean * mean)
         row["max"] = max(values)
     return row
+
+
+def additive_gap_sandwich_written_out(inst, n: int) -> dict:
+    """bounds.additive_gap_sandwich with its own loop over union pairs:
+    lower = sum_{r < n/2} S_plus(r) S_plus(n-r), upper = the same with
+    S(n-r), middle = S(n) - S_plus(n) - C(S_plus(n/2) + 1, 2)."""
+    if n < 1:
+        raise DomainError("degree must be positive")
+    half = inst.S_plus(Fraction(n, 2))
+    lower = 0
+    upper = 0
+    for r in range(1, (n + 1) // 2):
+        lower += inst.S_plus(r) * inst.S_plus(n - r)
+        upper += inst.S_plus(r) * inst.S(n - r)
+    gap = inst.S(n) - inst.S_plus(n)
+    middle = gap - comb(half + 1, 2)
+    return {"n": n, "lower": lower, "middle": middle, "upper": upper,
+            "holds": lower <= middle <= upper,
+            "middle_plain": gap - comb(half, 2)}
+
+
+def multiplicative_gap_sandwich_written_out(inst, n: int) -> dict:
+    """bounds.multiplicative_gap_sandwich with its own loop over product
+    pairs: lower = sum_{2 <= r < sqrt n} S_box(r) S_box(n/r), upper = the
+    same with S_plus(n/r), middle = S_plus(n) - S_box(n) less the pairs with
+    repetition of the degree-sqrt(n) primes."""
+    if n < 2:
+        raise DomainError("degree must be at least 2")
+    rt = isqrt(n)
+    root = inst.S_box(rt) if rt * rt == n else 0
+    lower = 0
+    upper = 0
+    for r in range(2, isqrt(n - 1) + 1):
+        here = inst.S_box(r)
+        lower += here * inst.S_box(Fraction(n, r))
+        upper += here * inst.S_plus(Fraction(n, r))
+    gap = inst.S_plus(n) - inst.S_box(n)
+    middle = gap - comb(root + 1, 2)
+    return {"n": n, "lower": lower, "middle": middle, "upper": upper,
+            "holds": lower <= middle <= upper,
+            "middle_plain": gap - comb(root, 2)}
 
 
 def _partitions(m: int, largest: int):

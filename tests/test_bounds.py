@@ -5,10 +5,41 @@ import pytest
 from boxprime.bounds import (additive_gap_sandwich, cut_bound,
                              growth_ratio_diagnostics, leading_term_check,
                              multiplicative_gap_sandwich, prime_gap_bound)
-from boxprime.errors import DomainError
+from boxprime.errors import BoxprimeError, DomainError
+from _oracles import (additive_gap_sandwich_written_out,
+                      multiplicative_gap_sandwich_written_out)
 
 ADDITIVE_MIDDLES = (0, 2, 4, 13, 41, 191, 1208, 13588, 288366)
 MULTIPLICATIVE_MIDDLES = (0, 0, 2, 0, 6, 0, 21, 0, 122)
+HORIZONS = (("graphs_instance", 32), ("hamming_instance", 64),
+            ("even_instance", 8))
+FOLDS = ((additive_gap_sandwich, additive_gap_sandwich_written_out, 1),
+         (multiplicative_gap_sandwich, multiplicative_gap_sandwich_written_out,
+          2))
+
+
+def _outcome(check, inst, n):
+    """The row, or the kind and message of the refusal."""
+    try:
+        return check(inst, n)
+    except BoxprimeError as exc:
+        return type(exc), str(exc)
+
+
+class _Reads:
+    """Delegates to an instance and logs each (accessor, degree) read."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.log = []
+
+    def __getattr__(self, name):
+        read = getattr(self.inst, name)
+
+        def logged(x):
+            self.log.append((name, x))
+            return read(x)
+        return logged
 
 
 def test_additive_sandwich_holds_through_ten(graphs_instance):
@@ -36,6 +67,21 @@ def test_multiplicative_sandwich_holds_through_twelve(graphs_instance):
 def test_multiplicative_sandwich_row_twelve(graphs_instance):
     row = multiplicative_gap_sandwich(graphs_instance, 12)
     assert (row["lower"], row["middle"], row["upper"]) == (120, 122, 124)
+
+
+@pytest.mark.parametrize("fixture, horizon", HORIZONS)
+def test_sandwiches_match_the_written_out_references(fixture, horizon,
+                                                     request):
+    # equal rows and refusals, and the first read of each degree in the same
+    # order, since the dry run must refuse a bad degree where the rows would
+    inst = request.getfixturevalue(fixture)
+    for fold, reference, least in FOLDS:
+        for n in range(least - 1, horizon + 2):
+            got, want = _Reads(inst), _Reads(inst)
+            outcome = _outcome(fold, got, n)
+            assert outcome == _outcome(reference, want, n)
+            assert isinstance(outcome, tuple) == (n in (least - 1, horizon + 1))
+            assert list(dict.fromkeys(got.log)) == list(dict.fromkeys(want.log))
 
 
 def test_cut_bound_values(graphs_instance):

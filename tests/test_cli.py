@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,19 @@ def run_cli(*args, stdin=None, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "boxprime", *args],
         input=stdin, capture_output=True, text=True, env=env, timeout=300)
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "digests.json"
+
+
+def test_stdout_matches_the_recorded_digests(capsys):
+    # the SHA-256 of stdout recorded for each benchmark command
+    recorded = json.loads(DIGESTS.read_text(encoding="ascii"))
+    assert len(recorded) == 11
+    for command, digest in recorded.items():
+        assert cli.main(command.split()) == 0, command
+        out = capsys.readouterr().out.encode("ascii")
+        assert hashlib.sha256(out).hexdigest() == digest, command
 
 
 def test_census_graphs_exact_bytes():

@@ -327,6 +327,32 @@ def test_row_constructors_match_the_pair_bit_oracles(gp, g1, g2):
         assert fast.rows == Graph(fast.n, fast.bits).rows
 
 
+def test_relabel_matches_the_pair_bit_oracle_on_large_random_graphs():
+    rng = random.Random(25)
+    for _ in range(12):
+        n = rng.randint(25, 128)
+        density = rng.uniform(0.02, 0.5)
+        g = Graph(n, sum(1 << k for k in range(n * (n - 1) // 2)
+                         if rng.random() < density))
+        perm = rng.sample(range(n), n)
+        assert relabel(g, perm) == relabel_by_edges(g, perm)
+
+
+def test_complete_graph_is_refused_past_the_order_limit():
+    # the C(n, 2)-bit vector is refused before it is built
+    limit = graphs_module.ORDER_LIMIT
+    with pytest.raises(CapacityError, match=f"order {limit + 1} exceeds"):
+        complete_graph(limit + 1)
+    assert complete_graph(limit).edge_count == limit * (limit - 1) // 2
+
+
+def test_complement_is_refused_past_the_order_limit():
+    limit = graphs_module.ORDER_LIMIT
+    with pytest.raises(CapacityError, match=f"order {limit + 1} exceeds"):
+        complement(empty_graph(limit + 1))
+    assert complement(empty_graph(limit)) == complete_graph(limit)
+
+
 @given(graphs(max_n=12))
 def test_layers_are_the_breadth_first_distance_classes(g):
     rows = g.rows
