@@ -1,16 +1,34 @@
 """Prime factorization of connected graphs under the cartesian product.
 
 Connected graphs factor uniquely into primes under the cartesian product,
-with the one-vertex graph as the unit.  The factors are read off the
-labelled graph by Feder's product relation: the equivalence classes of
-(Theta_T u tau)* on the edges are the classes of the product relation, so
-each class spans the layers of one prime factor (Feder, "Product graph
-representations", J. Graph Theory 1992; Imrich and Klavzar, Product
-Graphs, 2000).  Theta is the Djokovic-Winkler distance relation, and
-Theta_T relates each edge of a spanning tree T to the edges in Theta with
-it; here T is the breadth-first tree at vertex 0, so Theta is computed for
-n - 1 edges instead of all of them.  tau joins two edges that meet at a
-vertex but lie on no common chordless square.
+with the one-vertex graph as the unit.  Each prime factor is read off the
+labelled graph as its layer through vertex 0.
+
+The layers are first read off vertex 0's neighbourhood (the square
+property; Imrich and Klavzar, Product Graphs, 2000; Imrich and Peterin,
+"Recognizing Cartesian products in linear time", Discrete Math. 2007).
+Two neighbours u, v of vertex 0 are joined when u ~ v, or when
+N(u) & N(v) - {0} is empty, has two or more vertices, or is one neighbour
+of 0.  A triangle lies in one factor, and two edges at a vertex from
+different factors span exactly one square, which is chordless, so no join
+crosses factors; one class means the graph is prime.  A class's layer holds
+the vertices all of whose shortest paths from 0 begin in the class.  These
+layers are proved by rebuilding the product from vertex 0 by square
+completion and requiring a bijection onto the vertices that carries the
+product's edges onto the graph's.  A proved decomposition splits the edges
+at 0 exactly by the classes; the prime factorization splits them at least
+as finely, and the classes no more finely than it, so each class is the
+edges at 0 of one prime factor and each layer is that factor.
+
+When the proof fails, the factors come from Feder's product relation: the
+equivalence classes of (Theta_T u tau)* on the edges are the classes of the
+product relation, so each class spans the layers of one prime factor
+(Feder, "Product graph representations", J. Graph Theory 1992).  Theta is
+the Djokovic-Winkler distance relation, and Theta_T relates each edge of a
+spanning tree T to the edges in Theta with it; here T is the breadth-first
+tree at vertex 0, so Theta is computed for n - 1 edges instead of all of
+them.  tau joins two edges that meet at a vertex but lie on no common
+chordless square.
 """
 
 from __future__ import annotations
@@ -42,15 +60,16 @@ def _cut(vertices: int, incidence, full: int) -> int:
     return edges
 
 
-def _merge(classes: list[int], edges: int) -> list[int]:
-    """The disjoint edge classes after joining those that meet edges."""
+def _merge(classes: list[int], joined: int) -> list[int]:
+    """The disjoint bit-mask classes after joining joined and those that
+    meet it into one."""
     kept = []
     for c in classes:
-        if c & edges:
-            edges |= c
+        if c & joined:
+            joined |= c
         else:
             kept.append(c)
-    kept.append(edges)
+    kept.append(joined)
     return kept
 
 
@@ -71,6 +90,135 @@ def _layer_masks(n: int, rows) -> list[int]:
     if _is_prime_number(n):
         # the order of a product is the product of the factor orders
         return [full]
+    masks = _certified_layer_masks(n, rows, first)
+    if masks is None:
+        return _closure_layer_masks(n, rows, first)
+    return masks
+
+
+def _certified_layer_masks(n: int, rows, first: list[int]) -> list[int] | None:
+    """The layer masks read off vertex 0's neighbourhood, or None when the
+    graph is not the product of the layers they give.
+
+    first holds the breadth-first levels from vertex 0 of the connected
+    graph with these rows.
+    """
+    # neighbours u, v of vertex 0 are joined when 0u and 0v span no
+    # chordless square by themselves: u ~ v, or N(u) & N(v) - {0} is empty,
+    # has two or more vertices, or is one neighbour of 0
+    around = rows[0]
+    classes = []
+    for u in _bits_of(around):
+        ru = rows[u]
+        later = around >> u + 1 << u + 1
+        linked = later & ru
+        apart = later ^ linked
+        ru &= ~1
+        while apart:
+            bit = apart & -apart
+            apart ^= bit
+            common = ru & rows[bit.bit_length() - 1]
+            if not common or common & (common - 1) or common & around:
+                linked |= bit
+        classes = _merge(classes, linked | 1 << u)
+    if len(classes) == 1:
+        return [(1 << n) - 1]
+    classes.sort(key=lambda c: c & -c)
+
+    # a class's layer holds the vertices all of whose shortest paths from 0
+    # begin inside the class: those whose every neighbour one level nearer
+    # 0 is in it.  Each layer lists its vertices level by level with the
+    # position of a neighbour one level nearer, and its edges as position
+    # pairs
+    depth = len(first)
+    position = [0] * n
+    layers = []
+    size = 1
+    edges = 0
+    for c in classes:
+        members = [0]
+        up = [0]
+        mask = 1
+        level = c
+        k = 1
+        while True:
+            above = first[k - 1]
+            reach = 0
+            for v in _bits_of(level):
+                near = rows[v] & above
+                position[v] = len(members)
+                members.append(v)
+                up.append(position[(near & -near).bit_length() - 1])
+                reach |= rows[v]
+            mask |= level
+            k += 1
+            if k == depth:
+                break
+            outside = first[k - 1] ^ level
+            level = 0
+            for x in _bits_of(reach & first[k]):
+                if not rows[x] & outside:
+                    level |= 1 << x
+            if not level:
+                break
+        pairs = [(i, position[w]) for i, v in enumerate(members)
+                 for w in _bits_of(rows[v] & mask >> v + 1 << v + 1)]
+        layers.append((members, up, pairs, mask))
+        size *= len(members)
+        edges += len(pairs) * (n // len(members))
+    if size != n or 2 * edges != sum(map(int.bit_count, rows)):
+        return None
+
+    # the product rebuilt from vertex 0 by square completion: phi[j * m + k]
+    # pairs product vertex j of the layers so far with position k of the
+    # next layer, and is the one common neighbour of phi(j's parent, k) and
+    # phi(j, k's parent) other than phi(j's parent, k's parent)
+    phi = [0]
+    parent = [0]
+    used = 1
+    for members, up, _, mask in layers:
+        m = len(members)
+        used |= mask
+        grown = list(members)
+        grown_parent = list(up)
+        for j in range(1, len(phi)):
+            base = j * m
+            back = parent[j] * m
+            grown.append(phi[j])
+            grown_parent.append(back)
+            for k in range(1, m):
+                a = up[k]
+                w = (rows[grown[back + k]] & rows[grown[base + a]]
+                     & ~(1 << grown[back + a]))
+                if not w or w & (w - 1) or w & used:
+                    return None
+                used |= w
+                grown.append(w.bit_length() - 1)
+                grown_parent.append(base + a)
+        phi = grown
+        parent = grown_parent
+
+    # phi takes n distinct values, so it is a bijection; with as many edges
+    # on both sides, it is an isomorphism once every product edge is an
+    # edge of the graph
+    stride = n
+    for members, _, pairs, _ in layers:
+        m = len(members)
+        stride //= m
+        for a, b in pairs:
+            shift = (b - a) * stride
+            for start in range(a * stride, n, m * stride):
+                for i in range(start, start + stride):
+                    if not rows[phi[i]] >> phi[i + shift] & 1:
+                        return None
+    return [mask for _, _, _, mask in layers]
+
+
+def _closure_layer_masks(n: int, rows, first: list[int]) -> list[int]:
+    """The layer masks by Feder's closure (Theta_T u tau)*, for the
+    connected graph with these rows whose breadth-first levels from vertex
+    0 are first."""
+    full = (1 << n) - 1
     # edges numbered from their lower ends up, so vertex 0's come first
     incidence = [0] * n
     ends = []

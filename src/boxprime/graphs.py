@@ -160,7 +160,9 @@ def complement(g: Graph) -> Graph:
 
 
 def relabel(g: Graph, perm) -> Graph:
-    """Apply the relabeling old -> perm[old]."""
+    """Apply the relabeling old -> perm[old]; perm is any iterable of the
+    new labels in order of the old vertices, read once."""
+    perm = tuple(perm)
     if sorted(perm) != list(range(g.n)):
         raise DomainError("relabeling must be a permutation of the vertices")
     # the inverse permutation lists, for each new vertex, its old vertex

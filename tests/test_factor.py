@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,8 @@ from boxprime import factor
 from boxprime.errors import CapacityError, DomainError
 from boxprime.factor import (ORDER_LIMIT, factor_layers, factorize,
                              is_cartesian_prime)
-from boxprime.graphs import (Graph, canonical_form, canonical_key,
+from boxprime.graph6 import parse_graph6
+from boxprime.graphs import (Graph, _layers, canonical_form, canonical_key,
                              cartesian_product, complete_graph, cycle_graph,
                              disjoint_union, empty_graph, enumerate_connected,
                              from_edges, path_graph, relabel)
@@ -205,11 +207,20 @@ def test_order_limit_is_checked_before_any_work(monkeypatch):
 
 
 
+def _closure_masks(g: Graph) -> list[int]:
+    return factor._closure_layer_masks(g.n, g.rows, _layers(g.rows, 0))
+
+
+def _layer_masks(g: Graph) -> list[int]:
+    return factor._layer_masks(g.n, g.rows)
+
+
 def test_tree_theta_matches_full_theta_on_every_small_graph():
     for n in range(2, 9):
         for g in enumerate_connected(n):
-            masks = factor._layer_masks(g.n, g.rows)
-            assert set(masks) == layer_masks_full_theta(g), (n, g.bits)
+            expected = layer_masks_full_theta(g)
+            assert set(_closure_masks(g)) == expected, (n, g.bits)
+            assert set(_layer_masks(g)) == expected, (n, g.bits)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -223,16 +234,114 @@ def test_tree_theta_matches_full_theta_on_products_and_random_graphs(seed):
     perm = list(range(g.n))
     rng.shuffle(perm)
     for h in (relabel(g, perm), _random_connected(rng, rng.randint(9, 64))):
-        assert set(factor._layer_masks(h.n, h.rows)) == layer_masks_full_theta(h)
+        expected = layer_masks_full_theta(h)
+        assert set(_closure_masks(h)) == expected
+        assert set(_layer_masks(h)) == expected
 
 
-def test_tree_theta_matches_full_theta_on_the_eight_cube():
+def _eight_cube() -> Graph:
     cube = K2
     for _ in range(7):
         cube = cartesian_product(cube, K2, cap=ORDER_LIMIT)
-    masks = factor._layer_masks(cube.n, cube.rows)
-    assert len(masks) == 8
-    assert set(masks) == layer_masks_full_theta(cube)
+    return cube
+
+
+def test_tree_theta_matches_full_theta_on_the_eight_cube():
+    cube = _eight_cube()
+    expected = layer_masks_full_theta(cube)
+    assert len(expected) == 8
+    assert set(_closure_masks(cube)) == expected
+    assert set(_layer_masks(cube)) == expected
+
+
+def _relabelled(rng: random.Random, g: Graph) -> Graph:
+    return relabel(g, rng.sample(range(g.n), g.n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_masks_match_the_closure_on_products_up_to_the_order_limit(seed):
+    rng = random.Random(2400 + seed)
+    pair = cartesian_product(_random_connected(rng, 16),
+                             _random_connected(rng, 16), cap=ORDER_LIMIT)
+    tori = cartesian_product(cartesian_product(cycle_graph(8), cycle_graph(8),
+                                               cap=ORDER_LIMIT),
+                             C4, cap=ORDER_LIMIT)
+    for g in (pair, tori):
+        h = _relabelled(rng, g)
+        assert _layer_masks(h) == _closure_masks(h)
+
+
+def _sparse_prime_with_bridges(seed: int) -> Graph:
+    """A connected G(256, 0.02) with a vertex of degree 1, so a bridge."""
+    rng = random.Random(seed)
+    while True:
+        g = from_edges(ORDER_LIMIT, [
+            (i, j) for i in range(ORDER_LIMIT)
+            for j in range(i + 1, ORDER_LIMIT) if rng.random() < 0.02])
+        if (sum(_layers(g.rows, 0)) == (1 << g.n) - 1
+                and any(row.bit_count() == 1 for row in g.rows)):
+            return g
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_masks_match_the_closure_on_sparse_primes_with_bridges(seed):
+    g = _sparse_prime_with_bridges(seed)
+    assert _layer_masks(g) == _closure_masks(g) == [(1 << g.n) - 1]
+
+
+def test_layer_masks_reach_the_closure_only_when_the_certificate_fails(
+        monkeypatch):
+    calls = Counter()
+    closure, walk = factor._closure_layer_masks, factor._layers
+
+    def counted_closure(*args):
+        calls["closure"] += 1
+        return closure(*args)
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counted_masks(g: Graph) -> tuple[list[int], Counter]:
+        calls.clear()
+        masks = _layer_masks(g)
+        seen = calls.copy()
+        assert masks == _closure_masks(g)
+        return masks, seen
+
+    monkeypatch.setattr(factor, "_closure_layer_masks", counted_closure)
+    monkeypatch.setattr(factor, "_layers", counted_walk)
+    k23 = from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    # two edges at vertex 0 of one prime that span one chordless square
+    for g in (cartesian_product(k23, K2), parse_graph6("G@Umf?")):
+        assert counted_masks(g)[1]["closure"] == 1
+    for g in (cartesian_product(cycle_graph(6), K2), cartesian_product(C4, C4),
+              _relabelled(random.Random(8), _eight_cube())):
+        assert counted_masks(g)[1]["closure"] == 0
+    petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)])
+    for g in (petersen, _sparse_prime_with_bridges(0)):
+        masks, seen = counted_masks(g)
+        assert masks == [(1 << g.n) - 1]
+        # the connectivity check is the only walk
+        assert seen == Counter(walk=1)
+
+
+def test_the_certificate_refuses_graphs_that_only_look_like_products():
+    cube = _eight_cube()
+    # every square of Q8 completes and every product edge is present, but
+    # one edge more joins vertex 3 to its antipode's neighbour 255
+    longer = from_edges(ORDER_LIMIT, [
+        (u, v) for u in range(ORDER_LIMIT)
+        for v in range(u + 1, ORDER_LIMIT) if cube.rows[u] >> v & 1]
+        + [(3, 255)])
+    # layers 1-0-2 and 0-3-6 and as many edges as P3 x P3, but the square
+    # completion reaches vertex 8 twice
+    twice = from_edges(9, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 4),
+                           (3, 5), (3, 6), (4, 7), (4, 8), (5, 8), (6, 8)])
+    for g in (longer, twice):
+        assert _layer_masks(g) == _closure_masks(g) == [(1 << g.n) - 1]
 
 
 def test_factor_layers_follow_the_smallest_neighbour_of_vertex_zero():

@@ -104,6 +104,18 @@ def test_relabel_preserves_structure(gp):
     assert _degrees(h) == _degrees(g)
 
 
+def test_relabel_reads_any_iterable_once():
+    g = path_graph(4)
+    expected = relabel(g, (1, 0, 3, 2))
+    assert expected == from_edges(4, [(1, 0), (0, 3), (3, 2)])
+    assert relabel(g, iter((1, 0, 3, 2))) == expected
+    assert relabel(g, (v ^ 1 for v in range(4))) == expected
+    with pytest.raises(DomainError):
+        relabel(g, iter((1, 0, 3, 3)))
+    with pytest.raises(DomainError):
+        relabel(g, iter((1, 0, 3)))
+
+
 def test_canonical_form_matches_exhaustive_search_everywhere_small():
     for n in range(1, 6):
         m = n * (n - 1) // 2
