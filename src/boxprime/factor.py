@@ -43,7 +43,9 @@ from .graphs import (ORDER_LIMIT, Graph, _bits_of, _canonical_bits_for,
                      check_canonical_order)
 
 
+@lru_cache(maxsize=ORDER_LIMIT + 1)
 def _is_prime_number(n: int) -> bool:
+    # each factor line asks twice, once in cli and once in _layer_masks
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 

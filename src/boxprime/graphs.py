@@ -272,10 +272,13 @@ def _canonical_bits(n: int, rows) -> int:
     indistinguishable by everything placed so far, so position k must take a
     vertex from the first block, its row within the current block order is
     forced (non-neighbors before neighbors), and each placement refines the
-    partition.  Candidates that are interchangeable (equal open or closed
-    neighborhoods within the unplaced set) explore identical subtrees and are
-    deduplicated.  Candidates are explored in order of their rows, only while
-    the prefix stays within the best vector found.
+    partition.  Only candidates of least row are explored, since the first
+    one explored bounds every larger row; a row is one field 0..01..1 per
+    block, so they are found block by block, keeping the fewest neighbors in
+    the first block, then the next, until one is left.  Among true ties,
+    interchangeable ones (equal open or closed neighborhoods within the
+    unplaced set) explore identical subtrees and are deduplicated.  A
+    placement is pruned when its prefix exceeds the best vector found.
     """
     if n <= 1:
         return 0
@@ -284,9 +287,41 @@ def _canonical_bits(n: int, rows) -> int:
 
     def place(blocks, remaining, prefix, done):
         nonlocal best
-        # a lone vertex in the first block is placed with no choice
-        while not blocks[0] & (blocks[0] - 1):
-            nb = rows[blocks[0].bit_length() - 1]
+        while True:
+            first = blocks[0]
+            if first & (first - 1):
+                # keep the candidates of least row, block by block
+                ties = first
+                for b in blocks:
+                    least = n
+                    m = ties
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        count = (rows[low.bit_length() - 1] & b).bit_count()
+                        if count < least:
+                            least, ties = count, low
+                        elif count == least:
+                            ties |= low
+                    if not ties & (ties - 1):
+                        break
+                else:
+                    # true ties: twins among them share one subtree
+                    seen_open = set()
+                    seen_closed = set()
+                    while ties:
+                        low = ties & -ties
+                        ties ^= low
+                        key = rows[low.bit_length() - 1] & (remaining ^ low)
+                        if key in seen_open or key | low in seen_closed:
+                            continue
+                        seen_open.add(key)
+                        seen_closed.add(key | low)
+                        place([low, first ^ low] + blocks[1:], remaining, prefix, done)
+                    return
+                # the one candidate left goes first as a lone block
+                first, blocks = ties, [ties, first ^ ties] + blocks[1:]
+            nb = rows[first.bit_length() - 1]
             width = remaining.bit_count() - 1
             row = 0
             new_blocks = []
@@ -302,41 +337,12 @@ def _canonical_bits(n: int, rows) -> int:
             done += width
             if best is not None and prefix > best >> (total - done):
                 return
-            remaining ^= blocks[0]
+            remaining ^= first
             if not remaining & (remaining - 1):
                 # the last vertex's row is empty: prefix is a whole vector
                 best = prefix
                 return
             blocks = new_blocks
-        first = blocks[0]
-        rest = blocks[1:]
-        width = remaining.bit_count() - 1
-        seen_open = set()
-        seen_closed = set()
-        scored = []
-        m = first
-        while m:
-            v = m & -m
-            m ^= v
-            nb = rows[v.bit_length() - 1]
-            key_open = nb & (remaining ^ v)
-            key_closed = (nb | v) & remaining
-            if key_open in seen_open or key_closed in seen_closed:
-                continue
-            seen_open.add(key_open)
-            seen_closed.add(key_closed)
-            row = (1 << (first & nb).bit_count()) - 1
-            for b in rest:
-                row = (row << b.bit_count()) | ((1 << (b & nb).bit_count()) - 1)
-            scored.append((row, v))
-        scored.sort()
-        shift = total - done - width
-        for row, v in scored:
-            if best is not None and (prefix << width) | row > best >> shift:
-                # later rows are no smaller
-                break
-            # the candidate goes first as a lone block (an empty one is inert)
-            place([v, first ^ v] + rest, remaining, prefix, done)
 
     full = (1 << n) - 1
     place([full], full, 0, 0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from boxprime import cli, counting, graphs, semiring
+from boxprime import cli, counting, factor, graphs, semiring
 from boxprime.errors import BoxprimeError, ParseError
 from boxprime.graph6 import encode_graph6
 from boxprime.graphs import (canonical_form, canonical_key, cartesian_product,
@@ -752,7 +752,8 @@ def test_factor_searches_each_distinct_layer_once(monkeypatch, capsys):
 
 
 def test_factor_memos_are_bounded():
-    for memo in (cli._factor_line, graphs._canonical_bits_for):
+    for memo in (cli._factor_line, graphs._canonical_bits_for,
+                 factor._is_prime_number):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 

@@ -376,6 +376,37 @@ def test_layers_are_the_breadth_first_distance_classes(g):
         assert graphs_module._layers(rows, u) == classes
 
 
+def _paley(q):
+    squares = {i * i % q for i in range(1, q)}
+    return from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                          if (j - i) % q in squares])
+
+
+def _tie_heavy_graphs():
+    """Vertex-transitive and twin-rich graphs: their branch nodes hold many
+    candidates of equal row, and twins among them."""
+    k2 = complete_graph(2)
+    q4 = cartesian_product(cartesian_product(k2, k2), cartesian_product(k2, k2))
+    petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)])
+    k57 = from_edges(12, [(i, j) for i in range(5) for j in range(5, 12)])
+    return [cycle_graph(n) for n in range(9, 25)] + [
+        _paley(13), _paley(17), q4, petersen, k57,
+        cartesian_product(cycle_graph(8), cycle_graph(3))]
+
+
+def _assert_lazy_matches_eager(g, rng):
+    n = g.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    expected = canonical_bits_eager(n, g.rows)
+    assert graphs_module._canonical_bits(n, g.rows) == expected
+    assert graphs_module._canonical_bits(n, h.rows) == expected
+    assert canonical_bits_eager(n, h.rows) == expected
+
+
 def test_lazy_search_matches_the_eager_search_on_random_graphs():
     rng = random.Random(14)
     for _ in range(24):
@@ -383,13 +414,9 @@ def test_lazy_search_matches_the_eager_search_on_random_graphs():
         density = rng.uniform(0.2, 0.8)
         g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                            if rng.random() < density])
-        perm = list(range(n))
-        rng.shuffle(perm)
-        h = relabel(g, perm)
-        expected = canonical_bits_eager(n, g.rows)
-        assert graphs_module._canonical_bits(n, g.rows) == expected
-        assert graphs_module._canonical_bits(n, h.rows) == expected
-        assert canonical_bits_eager(n, h.rows) == expected
+        _assert_lazy_matches_eager(g, rng)
+    for g in _tie_heavy_graphs():
+        _assert_lazy_matches_eager(g, rng)
 
 
 def test_lazy_search_matches_the_eager_search_on_every_order_7_graph():
