@@ -3,9 +3,10 @@
 A family instance is data, in the manner of an arithmetical semigroup: its
 census by degree (members, connected members, primes), its least prime
 degree, membership and instance-prime rules, and the horizons up to which
-every value is exactly computable.  Three instances are provided: all
-graphs, graphs with an even number of edges, and the family generated by
-complete graphs under disjoint union and cartesian product.
+every value is exactly computable.  Three instances are provided.  All
+graphs and the family generated by complete graphs are free, and one
+builder counts both from their connected counts; graphs with an even
+number of edges are not free and are counted by enumeration.
 """
 
 from __future__ import annotations
@@ -155,18 +156,27 @@ def _is_hamming_member(g: Graph) -> bool:
                for f in factor_layers(induced_subgraph(g, m)))
 
 
-def _window(n: int) -> int:
-    """The least multiple of 8 covering degree n: the all-graphs counts are
-    built to 8, 16, 24 or 32, as far as the first degree asked for needs."""
-    return max(8, -(-n // 8) * 8)
-
-
 @cache
-def _graph_census(top: int) -> tuple[CountSequence, ...]:
-    """Totals, connected counts and prime counts of all graphs to top."""
-    connected = graph_connected_totals(top)
-    return (graph_totals(top), connected,
-            prime_counts_by_factorization(connected, top))
+def _free_census(connected, totals, top: int) -> tuple[CountSequence, ...]:
+    """Totals, connected counts and primes of a free family to top; the
+    totals are the Euler transform of the connected counts unless given."""
+    con = connected(top)
+    return (totals(top) if totals else euler_transform(con, top), con,
+            prime_counts_by_factorization(con, top))
+
+
+def _free_family(name, horizon, enum_cap, member_rule, prime_rule, connected,
+                 totals=None) -> SemiringInstance:
+    """A family with unique factorization and p = 2, counted from its
+    connected counts in windows of 8: a degree's census is built to the
+    least multiple of 8 covering it, when first asked for."""
+    def census(n):
+        top = max(8, -(-n // 8) * 8)
+        return tuple(s.at(n) for s in _free_census(connected, totals, top))
+    return SemiringInstance(
+        name=name, add_horizon=horizon, enum_horizon=enum_cap, p=2,
+        census=census, member_rule=member_rule, prime_rule=prime_rule,
+        unique_factorization=True)
 
 
 def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
@@ -177,16 +187,9 @@ def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     factorization.  No graph is built to count anything, and each count
     window is built when a degree in it is first asked for.
     """
-    return SemiringInstance(
-        name="graphs",
-        add_horizon=POLYA_CAP,
-        enum_horizon=enum_cap,
-        p=2,
-        census=lambda n: tuple(s.at(n) for s in _graph_census(_window(n))),
-        member_rule=lambda g: True,
-        prime_rule=is_cartesian_prime,
-        unique_factorization=True,
-    )
+    return _free_family("graphs", POLYA_CAP, enum_cap, lambda g: True,
+                        is_cartesian_prime, graph_connected_totals,
+                        graph_totals)
 
 
 def _even_member(g: Graph) -> bool:
@@ -261,30 +264,25 @@ def instance_even_edge(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     )
 
 
+def _hamming_connected(top: int) -> CountSequence:
+    """Connected hamming counts 1..top, from one prime per order >= 2."""
+    return multiplicative_transform(
+        CountSequence.primes([0] + [1] * (top - 1)), top)
+
+
 def instance_hamming(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The family generated by complete graphs.
 
-    Counting is purely arithmetic: the only prime of each degree >= 2 is
-    the complete graph, so connected members of degree n correspond to
-    multisets of integers >= 2 with product n (the multiplicative transform
-    of one prime per order), and totals follow by the Euler transform.
+    Counting is purely arithmetic, in the same windows as all graphs: the
+    only prime of each degree >= 2 is the complete graph, so connected
+    members of degree n are the multisets of integers >= 2 with product n
+    (the multiplicative transform of one prime per order); the totals
+    follow by the Euler transform, and the primes by unique factorization.
     No graph is materialized for counting; membership and enumeration go
     through factorization and are capped at the enumeration horizon.
     """
-    connected = multiplicative_transform(
-        CountSequence.primes([0] + [1] * (HAMMING_HORIZON - 1)),
-        HAMMING_HORIZON)
-    totals = euler_transform(connected, HAMMING_HORIZON)
-    return SemiringInstance(
-        name="hamming",
-        add_horizon=HAMMING_HORIZON,
-        enum_horizon=enum_cap,
-        p=2,
-        census=lambda n: (totals.at(n), connected.at(n), 1),
-        member_rule=_is_hamming_member,
-        prime_rule=is_complete,
-        unique_factorization=True,
-    )
+    return _free_family("hamming", HAMMING_HORIZON, enum_cap,
+                        _is_hamming_member, is_complete, _hamming_connected)
 
 
 INSTANCE_BUILDERS = {

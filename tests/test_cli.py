@@ -34,8 +34,20 @@ CENSUS_2_8 = (
 )
 
 
-def run_cli(*args, stdin=None, env_extra=None):
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env() -> dict:
+    """This environment, with the checkout's sources first on the path of
+    a child python, as pytest's pythonpath puts them on its own."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def run_cli(*args, stdin=None, env_extra=None):
+    env = _child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -73,7 +85,7 @@ def test_cold_import_leaves_out_dataclasses_and_json():
     code = ("import sys, boxprime.cli; "
             "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, env=dict(os.environ), timeout=60)
+                            text=True, env=_child_env(), timeout=60)
     assert result.returncode == 0
     assert result.stdout == "[]\n"
 
@@ -549,13 +561,19 @@ def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("the cycle-index walk started")
 
+    def uncounted(*args, **kwargs):
+        raise AssertionError("a count window was built")
+
     walked = []
     monkeypatch.setattr(graphs, "_enumerate", walked.append)
     # empty count windows, so that no earlier test has walked for them
     monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
     for cached in (counting.graph_totals, counting.graph_connected_totals,
-                   semiring._graph_census):
+                   semiring._free_census):
         cached.cache_clear()
+    # and no free family's window at all, so that the hamming rows show its
+    # multiplicative transform never ran
+    monkeypatch.setattr(semiring, "_free_census", uncounted)
     # a fresh even census cache, so that no earlier test has walked for it
     monkeypatch.setattr(semiring, "_even_census",
                         functools.cache(semiring._even_census.__wrapped__))

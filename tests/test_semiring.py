@@ -17,7 +17,8 @@ from boxprime.semiring import (INSTANCE_BUILDERS, build_instance,
                                self_complementary_identity)
 from _oracles import (composite_count_by_multisets, composite_set,
                       count_composites, count_graphs_by_cycle_types,
-                      euler_inverse_by_mobius, even_member_composites,
+                      euler_inverse_by_mobius,
+                      euler_transform_by_divisor_sums, even_member_composites,
                       multiplicative_partition_count)
 
 GRAPH_TOTALS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -115,14 +116,23 @@ def test_hamming_instance_sequences(hamming_instance):
     inst = hamming_instance
     for n in range(1, 65):
         assert inst.S_plus(n) == multiplicative_partition_count(n), n
-    assert tuple(inst.S_box(n) for n in range(2, 13)) == (1,) * 11
+    # one prime per order, read back out of the connected counts
+    assert tuple(inst.S_box(n) for n in range(2, 65)) == (1,) * 63
+    connected = CountSequence.primes(
+        [multiplicative_partition_count(n) for n in range(1, 65)])
+    assert [inst.S(n) for n in range(65)] == \
+        list(euler_transform_by_divisor_sums(connected, 64).values)
     assert inst.S(10) == 67
     assert inst.p == 2
 
 
 def test_totals_are_transform_of_connected_counts(graphs_instance,
                                                   hamming_instance):
-    for inst, top in ((graphs_instance, 12), (hamming_instance, 12)):
+    # graphs gives the builder its cycle-index totals in place of this
+    # transform, so they are checked at every window top of its census
+    for inst, top in ((graphs_instance, 8), (graphs_instance, 16),
+                      (graphs_instance, 24), (graphs_instance, 32),
+                      (hamming_instance, 12)):
         connected = CountSequence.primes(
             tuple(inst.S_plus(n) for n in range(1, top + 1)))
         transformed = euler_transform(connected, top)
@@ -251,7 +261,7 @@ def _record_cycle_index_walks(monkeypatch) -> list:
 
     monkeypatch.setattr(counting, "_cycle_index_sums", recorded)
     for cached in (counting.graph_totals, counting.graph_connected_totals,
-                   semiring._graph_census):
+                   semiring._free_census):
         cached.cache_clear()
     return walked
 
@@ -274,6 +284,43 @@ def test_graphs_instance_sweep_walks_each_window_once(monkeypatch):
     assert walked == [8, 16, 24, 32]
     with pytest.raises(CapacityError):
         inst.S_box(33)
+
+
+def _record_hamming_windows(monkeypatch) -> list:
+    """Clear the count windows and record the top of every later hamming
+    window built."""
+    built = []
+    transform = semiring.multiplicative_transform
+
+    def recorded(primes, top):
+        built.append(top)
+        return transform(primes, top)
+
+    monkeypatch.setattr(semiring, "multiplicative_transform", recorded)
+    semiring._free_census.cache_clear()
+    return built
+
+
+def test_hamming_instance_counts_only_as_far_as_asked(monkeypatch):
+    built = _record_hamming_windows(monkeypatch)
+    inst = semiring.instance_hamming()
+    assert built == []
+    with pytest.raises(CapacityError):
+        inst.S_box(65)
+    assert built == []
+    assert inst.S(1) == 1
+    assert built == [8]
+
+
+def test_hamming_instance_sweep_builds_each_window_once(monkeypatch):
+    built = _record_hamming_windows(monkeypatch)
+    inst = semiring.instance_hamming()
+    for n in range(1, 65):
+        inst.S(n), inst.S_plus(n), inst.S_box(n)
+    assert built == [8, 16, 24, 32, 40, 48, 56, 64]
+    with pytest.raises(CapacityError):
+        inst.S_box(65)
+    assert built == [8, 16, 24, 32, 40, 48, 56, 64]
 
 
 def test_instance_fields_are_read_only(graphs_instance):
