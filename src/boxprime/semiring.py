@@ -157,22 +157,23 @@ def _is_hamming_member(g: Graph) -> bool:
 
 
 @cache
-def _free_census(connected, totals, top: int) -> tuple[CountSequence, ...]:
-    """Totals, connected counts and primes of a free family to top; the
-    totals are the Euler transform of the connected counts unless given."""
+def _free_census(connected, top: int) -> tuple[CountSequence, ...]:
+    """Totals, connected counts and primes of a free family to top: the
+    Euler transform of the connected counts, the counts, and their inverse
+    under the box product."""
     con = connected(top)
-    return (totals(top) if totals else euler_transform(con, top), con,
+    return (euler_transform(con, top), con,
             prime_counts_by_factorization(con, top))
 
 
-def _free_family(name, horizon, enum_cap, member_rule, prime_rule, connected,
-                 totals=None) -> SemiringInstance:
+def _free_family(name, horizon, enum_cap, member_rule, prime_rule,
+                 connected) -> SemiringInstance:
     """A family with unique factorization and p = 2, counted from its
     connected counts in windows of 8: a degree's census is built to the
     least multiple of 8 covering it, when first asked for."""
     def census(n):
         top = max(8, -(-n // 8) * 8)
-        return tuple(s.at(n) for s in _free_census(connected, totals, top))
+        return tuple(s.at(n) for s in _free_census(connected, top))
     return SemiringInstance(
         name=name, add_horizon=horizon, enum_horizon=enum_cap, p=2,
         census=census, member_rule=member_rule, prime_rule=prime_rule,
@@ -182,14 +183,14 @@ def _free_family(name, horizon, enum_cap, member_rule, prime_rule, connected,
 def instance_all_graphs(enum_cap: int = DEFAULT_ENUM_CAP) -> SemiringInstance:
     """The semiring of all graphs under disjoint union and cartesian product.
 
-    Counting is arithmetic: totals by cycle index, connected counts by the
-    Euler inverse, and prime counts from the connected counts by unique
-    factorization.  No graph is built to count anything, and each count
-    window is built when a degree in it is first asked for.
+    Counting is arithmetic: connected counts by the Euler inverse of the
+    cycle-index totals (whose exact Euler transform gives the totals back),
+    and prime counts by unique factorization.  No graph is built to count
+    anything, and each count window is built when a degree in it is first
+    asked for.
     """
     return _free_family("graphs", POLYA_CAP, enum_cap, lambda g: True,
-                        is_cartesian_prime, graph_connected_totals,
-                        graph_totals)
+                        is_cartesian_prime, graph_connected_totals)
 
 
 def _even_member(g: Graph) -> bool:

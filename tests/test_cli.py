@@ -568,11 +568,10 @@ def test_degree_ranges_are_refused_before_any_enumeration(monkeypatch, capsys,
     monkeypatch.setattr(graphs, "_enumerate", walked.append)
     # empty count windows, so that no earlier test has walked for them
     monkeypatch.setattr(counting, "_cycle_index_sums", forbidden)
-    for cached in (counting.graph_totals, counting.graph_connected_totals,
-                   semiring._free_census):
+    for cached in (counting.graph_totals, counting.graph_connected_totals):
         cached.cache_clear()
-    # and no free family's window at all, so that the hamming rows show its
-    # multiplicative transform never ran
+    # and no free family's census window at all, cached or not, so that the
+    # hamming rows show its multiplicative transform never ran
     monkeypatch.setattr(semiring, "_free_census", uncounted)
     # a fresh even census cache, so that no earlier test has walked for it
     monkeypatch.setattr(semiring, "_even_census",
