@@ -29,10 +29,10 @@ from .bounds import (_RATIOS, additive_gap_sandwich, cut_bound,
 from .counting import graph_connected_totals, graph_totals, inversion_coefficients
 from .errors import BoxprimeError, CapacityError, DomainError, ParseError
 from .expansion import connected_series_polynomial, expansion_error_report
-from .factor import _is_prime_number, check_order, factor_keys
+from .factor import _is_prime_number, factor_keys
 from .graph6 import _decode_rows, encode_graph6, split_graph6
 from .graphs import (DEFAULT_ENUM_CAP, Graph, check_canonical_order,
-                     check_enumeration)
+                     check_enumeration, check_order)
 from .functions import REGISTRY, population_stats
 from .semiring import (INSTANCE_BUILDERS, DryRun, build_instance,
                        closure_check, monotonicity_report,
@@ -124,7 +124,7 @@ def _factor_text(n: int, bits: int) -> str:
 def _factor_line(text: str) -> str:
     # the header alone gives the order, so an oversized body is never decoded
     n, body = split_graph6(text)
-    check_order(n)
+    check_order(n, "factorization")
     if _is_prime_number(n):
         # a graph of prime order is its own one factor
         check_canonical_order(n)
@@ -166,10 +166,10 @@ def cmd_wright(args) -> int:
         raise DomainError("truncation order R must be positive")
     top = ns[-1]
     totals = graph_totals(top)
-    coeffs = inversion_coefficients(totals, order)
-    # refused before any polynomial is derived; the report refuses them too
+    # refused before any coefficient is derived; the report refuses them too
     if ns[0] <= 2 * order:
         raise DomainError("order must exceed twice the truncation order")
+    coeffs = inversion_coefficients(totals, order)
     polys = [connected_series_polynomial(s, coeffs) for s in range(order)]
     rows = expansion_error_report(graph_connected_totals(top), polys, ns, order)
     emit(rows, ["n", "R", "truncated", "true", "remainder", "bound", "ratio"],

@@ -37,10 +37,10 @@ from functools import lru_cache
 from math import isqrt
 from operator import and_
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .graphs import (ORDER_LIMIT, Graph, _bits_of, _canonical_bits_for,
                      _graph_from_rows, _induced_rows, _layers,
-                     check_canonical_order)
+                     check_canonical_order, check_order)
 
 
 @lru_cache(maxsize=ORDER_LIMIT + 1)
@@ -292,16 +292,9 @@ def _closure_layer_masks(n: int, rows, first: list[int]) -> list[int]:
     return masks
 
 
-def check_order(n: int) -> None:
-    """Refuse a factorization of order above ORDER_LIMIT."""
-    if n > ORDER_LIMIT:
-        raise CapacityError(
-            f"factorization of order {n} exceeds the limit {ORDER_LIMIT}")
-
-
 def _checked_rows(g: Graph) -> tuple[int, ...]:
     """g's neighbour rows, read only once its order is within ORDER_LIMIT."""
-    check_order(g.n)
+    check_order(g.n, "factorization")
     return g.rows
 
 

@@ -24,7 +24,7 @@ from .errors import CapacityError, DomainError
 from .factor import factorize
 from .graphs import Graph, cartesian_product
 from .graph6 import encode_graph6
-from .semiring import SemiringInstance, instance_all_graphs
+from .semiring import SemiringInstance
 
 # local rule f(k, a): the factor contributed by one distinct prime of order
 # k that appears with exponent a; None marks the coprimality count, which
@@ -52,7 +52,7 @@ def _multiplicative_value(rule, g: Graph) -> int:
     return out
 
 
-def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
+def coprime_count(g: Graph, inst: SemiringInstance) -> int:
     """Connected members of the same degree sharing no prime factor with g.
 
     With unique factorization the coprime members are the prime multisets
@@ -62,8 +62,6 @@ def coprime_count(g: Graph, inst: SemiringInstance | None = None) -> int:
     families are counted only where every connected member is prime, so
     that g shares a factor with itself alone.
     """
-    if inst is None:
-        inst = instance_all_graphs()
     if not inst.is_member(g):
         raise DomainError(f"{inst.name}: graph is not a member")
     n = g.n
@@ -180,32 +178,24 @@ def population_stats(name: str, inst: SemiringInstance, n: int,
 
 
 def submultiplicativity_check(name: str, n_max: int,
-                              inst: SemiringInstance | None = None
-                              ) -> list[dict]:
+                              inst: SemiringInstance) -> list[dict]:
     """All violations of f(A box B) <= f(A) f(B) over connected member pairs
-    with product degree at most n_max.  Empty means the law held."""
-    if inst is None:
-        inst = instance_all_graphs()
+    with product degree at most n_max.  Empty means the law held.
+
+    Every member is evaluated once, in ascending order of degree; K1 box B
+    is B itself, rows and bits, so a product with the unit reads B's value.
+    """
+    table = [[]] + [[(g, evaluate(name, g, inst))
+                     for g in inst.connected_members(k)]
+                    for k in range(1, n_max + 1)]
     violations = []
-    values: dict[int, list] = {}
     for a in range(1, n_max + 1):
-        for b in range(a, n_max + 1):
-            if a * b > n_max:
-                break
-            lefts = inst.connected_members(a)
-            if a not in values:
-                values[a] = [evaluate(name, g, inst) for g in lefts]
-            if b not in values:
-                values[b] = [evaluate(name, g, inst)
-                             for g in inst.connected_members(b)]
-            for i, g1 in enumerate(lefts):
-                if b == a:
-                    rights = zip(lefts[i:], values[a][i:])
-                else:
-                    rights = zip(inst.connected_members(b), values[b])
-                for g2, f2 in rights:
-                    product = evaluate(name, cartesian_product(g1, g2), inst)
-                    split = values[a][i] * f2
+        for b in range(a, n_max // a + 1):
+            for i, (g1, f1) in enumerate(table[a]):
+                for g2, f2 in table[b][i:] if b == a else table[b]:
+                    product = f2 if a == 1 else evaluate(
+                        name, cartesian_product(g1, g2), inst)
+                    split = f1 * f2
                     if product > split:
                         violations.append({
                             "left": encode_graph6(g1),

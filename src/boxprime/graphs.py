@@ -132,12 +132,17 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, 0)
 
 
-def _all_pairs(n: int) -> int:
-    """The packed vector of every pair of order n, refused above
-    ORDER_LIMIT before it is built."""
+def check_order(n: int, what: str) -> None:
+    """Refuse the named operation on order n above ORDER_LIMIT, before any
+    of its work."""
     if n > ORDER_LIMIT:
         raise CapacityError(
-            f"complete edge set of order {n} exceeds the limit {ORDER_LIMIT}")
+            f"{what} of order {n} exceeds the limit {ORDER_LIMIT}")
+
+
+def _all_pairs(n: int) -> int:
+    """Every pair of order n as a packed vector, refused above ORDER_LIMIT."""
+    check_order(n, "complete edge set")
     return (1 << _pair_count(n)) - 1
 
 
@@ -172,21 +177,18 @@ def relabel(g: Graph, perm) -> Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n = g1.n + g2.n
-    if n > DEFAULT_CANON_CAP:
-        raise CapacityError(
-            f"union of order {n} exceeds cap {DEFAULT_CANON_CAP}")
+    check_order(n, "union")
     return _graph_from_rows(n, g1.rows + tuple(r << g1.n for r in g2.rows))
 
 
-def cartesian_product(g1: Graph, g2: Graph, cap: int = DEFAULT_CANON_CAP) -> Graph:
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Box product: (u1,u2)~(v1,v2) iff equal in one slot, adjacent in the other.
 
     Vertex (u1, u2) maps to index u1 * g2.n + u2.
     """
     n1, n2 = g1.n, g2.n
     n = n1 * n2
-    if n > cap:
-        raise CapacityError(f"product of order {n} exceeds cap {cap}")
+    check_order(n, "product")
     rows = []
     for u, r1 in enumerate(g1.rows):
         # (u, v) meets (u, w) for w ~ v, and (a, v) for a ~ u
@@ -430,9 +432,9 @@ def enumerate_graphs(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
     return _enumerate(n)
 
 
-def enumerate_connected(n: int, cap: int = DEFAULT_ENUM_CAP) -> tuple[Graph, ...]:
+def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """Connected unlabeled graphs of order n, canonical and sorted by key."""
     if n < 1:
         raise DomainError("connected enumeration needs order >= 1")
-    check_enumeration(n, cap)
+    check_enumeration(n, DEFAULT_ENUM_CAP)
     return _enumerate_connected(n)

@@ -420,6 +420,28 @@ def coprime_counts_by_members(inst, n: int, factor_keys) -> dict:
     return out
 
 
+def submultiplicativity_by_products(name: str, n_max: int, inst) -> list[dict]:
+    """Violations of f(A box B) <= f(A) f(B) over connected member pairs
+    A <= B in member order with product degree at most n_max; every
+    product is built and evaluated, the unit's products too."""
+    out = []
+    for a in range(1, n_max + 1):
+        for b in range(a, n_max + 1):
+            if a * b > n_max:
+                continue
+            lefts = inst.connected_members(a)
+            for i, g1 in enumerate(lefts):
+                rights = lefts[i:] if b == a else inst.connected_members(b)
+                for g2 in rights:
+                    product = evaluate(name, cartesian_product(g1, g2), inst)
+                    split = evaluate(name, g1, inst) * evaluate(name, g2, inst)
+                    if product > split:
+                        out.append({"left": encode_graph6_by_bit_list(g1),
+                                    "right": encode_graph6_by_bit_list(g2),
+                                    "f_product": product, "f_split": split})
+    return out
+
+
 def even_member_composites(n: int) -> frozenset:
     """Canonical keys of the order-n products of two connected graphs with
     an even number of edges, each on at least two vertices."""

@@ -176,7 +176,7 @@ def test_relabelled_products_with_factors_past_the_old_cap(seed):
                for _ in range(rng.randint(1, 2))]
     g = primes[0]
     for p in primes[1:]:
-        g = cartesian_product(g, p, cap=ORDER_LIMIT)
+        g = cartesian_product(g, p)
     perm = list(range(g.n))
     rng.shuffle(perm)
     expected = sorted(canonical_key(p) for p in primes)
@@ -186,7 +186,7 @@ def test_relabelled_products_with_factors_past_the_old_cap(seed):
 def test_hypercubes_up_to_the_order_limit():
     cube = K2
     for dim in range(2, 9):
-        cube = cartesian_product(cube, K2, cap=ORDER_LIMIT)
+        cube = cartesian_product(cube, K2)
         if dim == 6:
             assert factorize(cube) == (K2,) * 6
     assert cube.n == ORDER_LIMIT
@@ -197,8 +197,7 @@ def test_order_limit_is_checked_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("factorization work started")
 
-    big = cartesian_product(K2, path_graph(ORDER_LIMIT // 2 + 1),
-                            cap=ORDER_LIMIT + 2)
+    big = path_graph(ORDER_LIMIT + 2)
     monkeypatch.setattr(factor, "_layers", forbidden)
     with pytest.raises(CapacityError):
         factorize(big)
@@ -230,7 +229,7 @@ def test_tree_theta_matches_full_theta_on_products_and_random_graphs(seed):
     g = _random_connected(rng, rng.randint(2, 8))
     for _ in range(rng.randint(1, 2)):
         k = rng.randint(2, min(4, 64 // g.n))
-        g = cartesian_product(g, _random_connected(rng, k), cap=64)
+        g = cartesian_product(g, _random_connected(rng, k))
     perm = list(range(g.n))
     rng.shuffle(perm)
     for h in (relabel(g, perm), _random_connected(rng, rng.randint(9, 64))):
@@ -242,7 +241,7 @@ def test_tree_theta_matches_full_theta_on_products_and_random_graphs(seed):
 def _eight_cube() -> Graph:
     cube = K2
     for _ in range(7):
-        cube = cartesian_product(cube, K2, cap=ORDER_LIMIT)
+        cube = cartesian_product(cube, K2)
     return cube
 
 
@@ -261,10 +260,9 @@ def _relabelled(rng: random.Random, g: Graph) -> Graph:
 def test_layer_masks_match_the_closure_on_products_up_to_the_order_limit(seed):
     rng = random.Random(2400 + seed)
     pair = cartesian_product(_random_connected(rng, 16),
-                             _random_connected(rng, 16), cap=ORDER_LIMIT)
-    tori = cartesian_product(cartesian_product(cycle_graph(8), cycle_graph(8),
-                                               cap=ORDER_LIMIT),
-                             C4, cap=ORDER_LIMIT)
+                             _random_connected(rng, 16))
+    tori = cartesian_product(cartesian_product(cycle_graph(8), cycle_graph(8)),
+                             C4)
     for g in (pair, tori):
         h = _relabelled(rng, g)
         assert _layer_masks(h) == _closure_masks(h)
@@ -345,7 +343,7 @@ def test_the_certificate_refuses_graphs_that_only_look_like_products():
 def test_factor_layers_follow_the_smallest_neighbour_of_vertex_zero():
     p5 = from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 4),
                         (3, 4)])
-    g = cartesian_product(cartesian_product(p5, K2), K3, cap=30)
+    g = cartesian_product(cartesian_product(p5, K2), K3)
     perm = [23, 8, 17, 11, 26, 5, 2, 0, 24, 1, 13, 9, 25, 19, 6, 15, 29, 12,
             20, 27, 28, 10, 3, 4, 7, 14, 21, 18, 16, 22]
     h = relabel(g, perm)

@@ -14,7 +14,8 @@ from boxprime.semiring import instance_all_graphs, instance_hamming
 from _oracles import (coprime_counts_by_members, count_composites, divisors,
                       factorize_by_table,
                       multiplicative_stats_by_patterns,
-                      population_stats_by_enumeration)
+                      population_stats_by_enumeration,
+                      submultiplicativity_by_products)
 
 K1 = empty_graph(1)
 K2 = complete_graph(2)
@@ -103,6 +104,38 @@ def test_submultiplicativity_sweeps(graphs_instance):
     assert submultiplicativity_check("d", 8, inst) == []
     assert submultiplicativity_check("dstar", 8, inst) == []
     assert submultiplicativity_check("sigmastar", 8, inst) == []
+
+
+@pytest.mark.parametrize("instance", ["graphs_instance", "even_instance",
+                                      "hamming_instance"])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_submultiplicativity_sweep_matches_every_product(request, instance,
+                                                         name):
+    inst = request.getfixturevalue(instance)
+    assert submultiplicativity_check(name, 6, inst) == \
+        submultiplicativity_by_products(name, 6, inst)
+
+
+def test_submultiplicativity_sweep_below_degree_one_is_empty(graphs_instance):
+    for n_max in (0, -1):
+        assert submultiplicativity_check("d", n_max, graphs_instance) == []
+
+
+def test_submultiplicativity_sweep_builds_no_unit_product(monkeypatch,
+                                                          graphs_instance):
+    built = []
+
+    def no_unit(g1, g2):
+        if g1.n == 1 or g2.n == 1:
+            raise AssertionError("a product with the unit was built")
+        built.append((g1.n, g2.n))
+        return cartesian_product(g1, g2)
+
+    monkeypatch.setattr(functions, "cartesian_product", no_unit)
+    violations = submultiplicativity_check("beta", 8, graphs_instance)
+    assert [(v["left"], v["right"]) for v in violations] == [("A_", "A_"),
+                                                             ("A_", "C]")]
+    assert sorted(set(built)) == [(2, 2), (2, 3), (2, 4)]
 
 
 def test_exponent_product_is_not_submultiplicative(graphs_instance):

@@ -331,7 +331,7 @@ def test_row_constructors_match_the_pair_bit_oracles(gp, g1, g2):
         (relabel(g, perm), relabel_by_edges(g, perm)),
         (disjoint_union(g1, g2), disjoint_union_by_edges(g1, g2)),
         (cartesian_product(g1, g2), cartesian_product_by_edges(g1, g2)),
-        (cartesian_product(g, g1, cap=32), cartesian_product_by_edges(g, g1)),
+        (cartesian_product(g, g1), cartesian_product_by_edges(g, g1)),
     ]
     for fast, slow in built:
         assert fast == slow
@@ -363,6 +363,32 @@ def test_complement_is_refused_past_the_order_limit():
     with pytest.raises(CapacityError, match=f"order {limit + 1} exceeds"):
         complement(empty_graph(limit + 1))
     assert complement(empty_graph(limit)) == complete_graph(limit)
+
+
+def test_unions_and_products_are_refused_past_the_order_limit(monkeypatch):
+    limit = graphs_module.ORDER_LIMIT
+    half, k2 = path_graph(limit // 2), complete_graph(2)
+    longer = path_graph(limit // 2 + 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rows were packed")
+
+    monkeypatch.setattr(graphs_module, "_pack_rows", forbidden)
+    with pytest.raises(CapacityError, match=f"^union of order {limit + 1} "
+                       f"exceeds the limit {limit}$"):
+        disjoint_union(half, longer)
+    with pytest.raises(CapacityError, match=f"^product of order {limit + 2} "
+                       f"exceeds the limit {limit}$"):
+        cartesian_product(k2, longer)
+
+
+def test_unions_build_up_to_the_order_limit():
+    # past the canonical cap of 24, which bounds canonical searches only
+    g1, g2 = cycle_graph(20), path_graph(20)
+    assert disjoint_union(g1, g2) == disjoint_union_by_edges(g1, g2)
+    assert disjoint_union(g1, g2).n == 40
+    half = path_graph(graphs_module.ORDER_LIMIT // 2)
+    assert disjoint_union(half, half).n == graphs_module.ORDER_LIMIT
 
 
 @given(graphs(max_n=12))
